@@ -15,6 +15,7 @@
 
 open State
 module I64tbl = Purity_util.Keytbl.I64
+module Inttbl = Purity_util.Keytbl.Int
 module Xxhash = Purity_util.Xxhash
 
 type report = {
@@ -31,50 +32,77 @@ type report = {
   duration_us : float;
 }
 
-(* Map segment -> (cblock off -> (stored_len, [(medium, block, index)])). *)
+(* One segment's share of the liveness scan: the stored bytes of its live
+   cblocks (each counted once) and its live blocks as (key, blockref),
+   last scanned first. *)
+type seg_live = {
+  cblocks : unit Inttbl.t; (* offsets of the live cblocks *)
+  mutable live_bytes : int;
+  mutable scanned : (string * Blockref.t) list;
+}
+
+(* [scan_seq]: every mapping the scan saw has a seq at or below it. *)
+type liveness = { scan_seq : int64; segs : seg_live Inttbl.t }
+
 let liveness t =
-  let table : (int, (int, int * (int * int * int) list ref) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let segs = Inttbl.create 64 in
   Pyramid.iter_live t.blocks (fun ~key ~value ->
       let r = Blockref.decode value in
-      let medium = Keys.block_key_medium key and block = Keys.block_key_block key in
-      let per_seg =
-        match Hashtbl.find_opt table r.Blockref.segment with
-        | Some h -> h
+      let s =
+        match Inttbl.find_opt segs r.Blockref.segment with
+        | Some s -> s
         | None ->
-          let h = Hashtbl.create 16 in
-          Hashtbl.replace table r.Blockref.segment h;
-          h
+          let s = { cblocks = Inttbl.create 16; live_bytes = 0; scanned = [] } in
+          Inttbl.replace segs r.Blockref.segment s;
+          s
       in
-      (match Hashtbl.find_opt per_seg r.Blockref.off with
-      | Some (_, refs) -> refs := (medium, block, r.Blockref.index) :: !refs
-      | None ->
-        Hashtbl.replace per_seg r.Blockref.off
-          (r.Blockref.stored_len, ref [ (medium, block, r.Blockref.index) ])));
-  table
+      if not (Inttbl.mem s.cblocks r.Blockref.off) then begin
+        Inttbl.replace s.cblocks r.Blockref.off ();
+        s.live_bytes <- s.live_bytes + r.Blockref.stored_len
+      end;
+      s.scanned <- (key, r) :: s.scanned);
+  { scan_seq = Seqno.current t.seqno; segs }
 
-let live_bytes_of per_seg = Hashtbl.fold (fun _ (len, _) acc -> acc + len) per_seg 0
+let live_bytes live (seg_id : int) =
+  match Inttbl.find_opt live.segs seg_id with Some s -> s.live_bytes | None -> 0
+
+(* A victim's live cblocks: off -> (stored_len, [(block key, index)]).
+   Filled in scan order: the table's iteration order is the relocation
+   order, which decides where relocated cblocks land. *)
+let cblock_refs live (seg_id : int) =
+  let per_seg = Inttbl.create 16 in
+  (match Inttbl.find_opt live.segs seg_id with
+  | None -> ()
+  | Some s ->
+    List.iter
+      (fun (key, (r : Blockref.t)) ->
+        match Inttbl.find_opt per_seg r.Blockref.off with
+        | Some (_, refs) -> refs := (key, r.Blockref.index) :: !refs
+        | None -> Inttbl.replace per_seg r.Blockref.off (r.Blockref.stored_len, ref [ (key, r.Blockref.index) ]))
+      (List.rev s.scanned));
+  per_seg
+
+let is_shared (stored_len, refs) = List.length !refs > max 1 (stored_len / 512)
 
 (* Relocate every live cblock of one segment; calls [k true] when every
    live cblock was moved (data durability is the caller's seal+flush),
    [k false] if any read failed — the victim must then be kept alive, or
-   the surviving references would dangle. *)
-let relocate_segment t ~live ~content_cache ~counters seg_id k =
-  match (Hashtbl.find_opt t.segment_metas seg_id, Hashtbl.find_opt live seg_id) with
-  | None, _ -> k true
-  | Some _, None -> k true
-  | Some meta, Some per_seg ->
+   the surviving references would dangle.
+
+   A block overwritten after the scan (while its cblock's read was in
+   flight, say) keeps its new mapping: only references with no fact newer
+   than the scan are re-pointed. A merge drops a newer block fact only
+   when its medium is elided, which retracts the re-pointed fact too. *)
+let relocate_segment t ~live ~content_cache ~counters (seg_id : int) k =
+  match Hashtbl.find_opt t.segment_metas seg_id with
+  | None -> k true
+  | Some meta ->
+    let per_seg = cblock_refs live seg_id in
     (* shared first: a cblock with more references than ~logical blocks is
        deduplicated; segregating the phases clusters such cblocks together
        (the caller seals between phases across victims) *)
-    let entries = Hashtbl.fold (fun off v acc -> (off, v) :: acc) per_seg [] in
-    let shared, plain =
-      List.partition
-        (fun (_, (stored_len, refs)) ->
-          List.length !refs > max 1 (stored_len / 512))
-        entries
-    in
+    let entries = Inttbl.fold (fun off v acc -> (off, v) :: acc) per_seg [] in
+    let shared, plain = List.partition (fun (_, v) -> is_shared v) entries in
     let entries = shared @ plain in
     let relocated, rel_bytes, dedup_hits = counters in
     let all_ok = ref true in
@@ -88,35 +116,41 @@ let relocate_segment t ~live ~content_cache ~counters seg_id k =
                  busy): keep the victim; a later pass retries *)
               all_ok := false
             | Ok frame -> (
+              let refs =
+                List.filter
+                  (fun (key, _) -> not (Pyramid.has_newer t.blocks key ~than:live.scan_seq))
+                  !refs
+              in
               (* [store_blob]/[put] raise Out_of_space if the controller
                  died while the read was in flight (dead controllers
                  allocate nothing); the victim is then simply kept *)
-              try
-                let fingerprint = Xxhash.hash frame ~pos:0 ~len:(Bytes.length frame) in
-                let base =
-                  match I64tbl.find_opt content_cache fingerprint with
-                  | Some (base, cached) when String.equal cached (Bytes.to_string frame) ->
-                    incr dedup_hits;
-                    Registry.incr t.ws.gc_dedup_blocks;
-                    base
-                  | _ ->
-                    let segment, new_off = store_blob t (Bytes.to_string frame) in
-                    let base =
-                      { Blockref.segment; off = new_off; stored_len; index = 0 }
-                    in
-                    I64tbl.replace content_cache fingerprint (base, Bytes.to_string frame);
-                    incr relocated;
-                    rel_bytes := !rel_bytes + stored_len;
-                    base
-                in
-                List.iter
-                  (fun (medium, block, index) ->
-                    ignore
-                      (put t t.blocks
-                         ~key:(Keys.block_key ~medium ~block)
-                         ~value:(Blockref.encode { base with Blockref.index })))
-                  !refs
-              with Out_of_space -> all_ok := false));
+              match refs with
+              | [] -> ()
+              | _ :: _ -> (
+                try
+                  let data = Bytes.to_string frame in
+                  let fingerprint = Xxhash.hash frame ~pos:0 ~len:(Bytes.length frame) in
+                  let base =
+                    match I64tbl.find_opt content_cache fingerprint with
+                    | Some (base, cached) when String.equal cached data ->
+                      incr dedup_hits;
+                      Registry.incr t.ws.gc_dedup_blocks;
+                      base
+                    | _ ->
+                      let segment, new_off = store_blob t data in
+                      let base =
+                        { Blockref.segment; off = new_off; stored_len; index = 0 }
+                      in
+                      I64tbl.replace content_cache fingerprint (base, data);
+                      incr relocated;
+                      rel_bytes := !rel_bytes + stored_len;
+                      base
+                  in
+                  List.iter
+                    (fun (key, index) ->
+                      ignore (put t t.blocks ~key ~value:(Blockref.encode { base with Blockref.index })))
+                    refs
+                with Out_of_space -> all_ok := false)));
             go rest)
     in
     go entries
@@ -172,11 +206,7 @@ let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
           let data_bytes = meta.Segment.payload_len in
           if data_bytes = 0 then acc
           else begin
-            let lb =
-              match Hashtbl.find_opt live seg_id with
-              | Some per_seg -> live_bytes_of per_seg
-              | None -> 0
-            in
+            let lb = live_bytes live seg_id in
             let dead_ratio = 1.0 -. (float_of_int lb /. float_of_int data_bytes) in
             if dead_ratio >= min_dead_ratio then (seg_id, dead_ratio) :: acc else acc
           end
@@ -255,12 +285,6 @@ let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
      relocate_segment's two-phase ordering) *)
   List.iter
     (fun seg_id ->
-      match Hashtbl.find_opt live seg_id with
-      | None -> ()
-      | Some per_seg ->
-        Hashtbl.iter
-          (fun _ (stored_len, refs) ->
-            if List.length !refs > max 1 (stored_len / 512) then incr shared_count)
-          per_seg)
+      Inttbl.iter (fun _ v -> if is_shared v then incr shared_count) (cblock_refs live seg_id))
     victims;
   relocate_all victims

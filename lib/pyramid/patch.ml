@@ -22,24 +22,14 @@ let bloom_threshold = 16
 (* [facts] must already be sorted and deduped. *)
 let make facts =
   let n = Array.length facts in
-  let bloom =
-    if n < bloom_threshold then None
-    else begin
-      let b = Bloom.create ~expected:n () in
-      let prev = ref "" in
-      Array.iteri
-        (fun i f ->
-          if i = 0 || not (String.equal f.Fact.key !prev) then begin
-            Bloom.add b f.Fact.key;
-            prev := f.Fact.key
-          end)
-        facts;
-      Some b
-    end
-  in
+  let bloom = if n < bloom_threshold then None else Some (Bloom.create ~expected:n ()) in
   let seq_lo = ref Int64.max_int and seq_hi = ref Int64.min_int in
-  Array.iter
-    (fun f ->
+  Array.iteri
+    (fun i f ->
+      (match bloom with
+      | Some b when i = 0 || not (String.equal f.Fact.key facts.(i - 1).Fact.key) ->
+        Bloom.add b f.Fact.key
+      | _ -> ());
       if Int64.compare f.Fact.seq !seq_lo < 0 then seq_lo := f.Fact.seq;
       if Int64.compare f.Fact.seq !seq_hi > 0 then seq_hi := f.Fact.seq)
     facts;
@@ -49,21 +39,107 @@ let empty = { facts = [||]; bloom = None; seq_lo = Int64.max_int; seq_hi = Int64
 let count t = Array.length t.facts
 let is_empty t = Array.length t.facts = 0
 
-let dedup_sorted facts =
-  (* facts sorted by compare_key_seq; drop exact (key, seq) duplicates. *)
-  let out = ref [] in
-  Array.iter
-    (fun f ->
-      match !out with
-      | prev :: _ when String.equal prev.Fact.key f.Fact.key && Int64.equal prev.Fact.seq f.Fact.seq -> ()
-      | _ -> out := f :: !out)
-    facts;
-  Array.of_list (List.rev !out)
+(* The one merge kernel behind every pyramid merge, flatten and scan.
+   [runs] are sorted, (key, seq)-unique fact arrays, shallowest first.
+   Facts leave a k-run heap in (key asc, seq desc) order; of facts sharing
+   a (key, seq) only the shallowest run's survives. Each survivor is then
+   offered to [keep] (when given); under [latest] only the first kept fact
+   per key is written, and under [drop_tombstones] a key whose first kept
+   fact is a tombstone writes nothing. Survivors go straight into one
+   array sized for the worst case, trimmed once at the end. The heap
+   lives in [cur.(0 .. size-1)] as run indices, shallower first on a
+   (key, seq) tie; [cur.(k + r)] is run [r]'s cursor. *)
+let run_before runs cur k r1 r2 =
+  let c = Fact.compare_key_seq runs.(r1).(cur.(k + r1)) runs.(r2).(cur.(k + r2)) in
+  c < 0 || (c = 0 && r1 < r2)
+
+let rec sift_down runs cur k size i =
+  let l = (2 * i) + 1 in
+  if l < size then begin
+    let m = if l + 1 < size && run_before runs cur k cur.(l + 1) cur.(l) then l + 1 else l in
+    if run_before runs cur k cur.(m) cur.(i) then begin
+      let r = cur.(m) in
+      cur.(m) <- cur.(i);
+      cur.(i) <- r;
+      sift_down runs cur k size m
+    end
+  end
+
+let no_fact = Fact.tombstone ~key:"" ~seq:0L
+
+(* Writes the survivors into [out]; returns how many. *)
+let merge_loop ~keep ~latest ~drop_tombstones runs cur out =
+  let k = Array.length runs and size = ref 0 and n = ref 0 in
+  for r = 0 to k - 1 do
+    if Array.length runs.(r) > 0 then begin
+      cur.(!size) <- r;
+      incr size
+    end
+  done;
+  for i = (!size / 2) - 1 downto 0 do
+    sift_down runs cur k !size i
+  done;
+  (* the last fact popped, and the last one kept *)
+  let prev = ref no_fact and last = ref no_fact in
+  while !size > 0 do
+    let r = cur.(0) in
+    let f = runs.(r).(cur.(k + r)) in
+    if cur.(k + r) + 1 < Array.length runs.(r) then cur.(k + r) <- cur.(k + r) + 1
+    else begin
+      decr size;
+      cur.(0) <- cur.(!size)
+    end;
+    sift_down runs cur k !size 0;
+    let dup = !prev != no_fact && Fact.compare_key_seq !prev f = 0 in
+    prev := f;
+    if
+      (not dup)
+      && (match keep with None -> true | Some p -> p f)
+      && not (latest && !last != no_fact && String.equal !last.Fact.key f.Fact.key)
+    then begin
+      last := f;
+      if not (latest && drop_tombstones && Fact.is_tombstone f) then begin
+        out.(!n) <- f;
+        incr n
+      end
+    end
+  done;
+  !n
+
+let[@purity.lint.hotpath] merge_runs ~keep ~latest ~drop_tombstones runs =
+  let total = ref 0 and first = ref (-1) in
+  for r = Array.length runs - 1 downto 0 do
+    if Array.length runs.(r) > 0 then first := r;
+    total := !total + Array.length runs.(r)
+  done;
+  if !first < 0 then [||]
+  else
+    (let out = Array.make !total runs.(!first).(0) and cur = Array.make (2 * Array.length runs) 0 in
+     let n = merge_loop ~keep ~latest ~drop_tombstones runs cur out in
+     if n = !total then out else Array.sub out 0 n)
+    [@purity.lint.allow
+      "hotalloc: the output array (trimmed once to the survivors) and \
+       the k-run cursor heap, allocated once per merge; the per-fact \
+       loop allocates nothing"]
+
+let runs_of ts = Array.of_list (List.map (fun t -> t.facts) ts)
+
+let merge_many ?keep ?(latest = false) ?(drop_tombstones = false) ts =
+  let merged = merge_runs ~keep ~latest ~drop_tombstones (runs_of ts) in
+  match ts with
+  | [ t ] when Array.length merged = Array.length t.facts -> t (* nothing dropped *)
+  | _ -> make merged
+
+let iter_merged ?keep ?(latest = false) ?(drop_tombstones = false) ts f =
+  Array.iter f (merge_runs ~keep ~latest ~drop_tombstones (runs_of ts))
+
+let merge a b = merge_many [ a; b ]
+let compact_latest t ~drop_tombstones = merge_many ~latest:true ~drop_tombstones [ t ]
 
 let of_facts facts =
   let a = Array.of_list facts in
   Array.sort Fact.compare_key_seq a;
-  make (dedup_sorted a)
+  make (merge_runs ~keep:None ~latest:false ~drop_tombstones:false [| a |])
 
 let seq_range t = if is_empty t then None else Some (t.seq_lo, t.seq_hi)
 let max_seq t = t.seq_hi
@@ -107,16 +183,6 @@ let bloom_admits_hashed t hashes =
 
 let has_bloom t = Option.is_some t.bloom
 
-let find t key =
-  let a = t.facts in
-  let i = ref (lower_bound t key) in
-  let acc = ref [] in
-  while !i < Array.length a && String.equal (a.(!i)).Fact.key key do
-    acc := a.(!i) :: !acc;
-    incr i
-  done;
-  List.rev !acc
-
 let find_latest t key =
   let i = lower_bound t key in
   if i < Array.length t.facts && String.equal (t.facts.(i)).Fact.key key then Some t.facts.(i)
@@ -143,20 +209,8 @@ let[@purity.lint.allow
    with Exit -> ());
   !best
 
-let iter t f = Array.iter f t.facts
-let fold f init t = Array.fold_left f init t.facts
 let to_list t = Array.to_list t.facts
 let get t i = t.facts.(i)
-
-let range t ~lo ~hi =
-  let a = t.facts in
-  let i = ref (lower_bound t lo) in
-  let acc = ref [] in
-  while !i < Array.length a && String.compare (a.(!i)).Fact.key hi <= 0 do
-    acc := a.(!i) :: !acc;
-    incr i
-  done;
-  List.rev !acc
 
 (* One lower_bound, then a sequential walk: the batched-resolution
    primitive. [f] sees every fact with lo <= key <= hi in order. *)
@@ -169,69 +223,12 @@ let iter_run t ~lo ~hi f =
     incr i
   done
 
-let exists_in_range t ~lo ~hi =
-  let i = lower_bound t lo in
-  i < Array.length t.facts && String.compare (t.facts.(i)).Fact.key hi <= 0
+let range t ~lo ~hi =
+  let acc = ref [] in
+  iter_run t ~lo ~hi (fun f -> acc := f :: !acc);
+  List.rev !acc
 
-let merge a b =
-  (* Linear merge of two sorted runs, dropping (key, seq) duplicates. *)
-  let fa = a.facts and fb = b.facts in
-  let na = Array.length fa and nb = Array.length fb in
-  let out = ref [] in
-  let push f =
-    match !out with
-    | prev :: _ when String.equal prev.Fact.key f.Fact.key && Int64.equal prev.Fact.seq f.Fact.seq -> ()
-    | _ -> out := f :: !out
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < na || !j < nb do
-    if !i >= na then begin
-      push fb.(!j);
-      incr j
-    end
-    else if !j >= nb then begin
-      push fa.(!i);
-      incr i
-    end
-    else if Fact.compare_key_seq fa.(!i) fb.(!j) <= 0 then begin
-      push fa.(!i);
-      incr i
-    end
-    else begin
-      push fb.(!j);
-      incr j
-    end
-  done;
-  make (Array.of_list (List.rev !out))
-
-(* Balanced pairwise rounds: each fact takes part in O(log n) merges
-   instead of the O(n) of a left fold that re-merges its accumulator. *)
-let rec merge_many = function
-  | [] -> empty
-  | [ t ] -> t
-  | ts ->
-    let rec pairwise = function
-      | a :: b :: rest -> merge a b :: pairwise rest
-      | rest -> rest
-    in
-    merge_many (pairwise ts)
-
-let filter t pred = make (Array.of_seq (Seq.filter pred (Array.to_seq t.facts)))
-
-let compact_latest t ~drop_tombstones =
-  let out = ref [] in
-  let last_key = ref None in
-  Array.iter
-    (fun f ->
-      let fresh =
-        match !last_key with Some k -> not (String.equal k f.Fact.key) | None -> true
-      in
-      if fresh then begin
-        last_key := Some f.Fact.key;
-        if not (drop_tombstones && Fact.is_tombstone f) then out := f :: !out
-      end)
-    t.facts;
-  make (Array.of_list (List.rev !out))
+let find t key = range t ~lo:key ~hi:key
 
 let serialize t =
   let body = Buffer.create (64 * Array.length t.facts) in

@@ -61,10 +61,6 @@ val bloom_admits_hashed : t -> (int * int) lazy_t -> bool
 
 val has_bloom : t -> bool
 
-val iter : t -> (Fact.t -> unit) -> unit
-(** In patch order. *)
-
-val fold : ('a -> Fact.t -> 'a) -> 'a -> t -> 'a
 val to_list : t -> Fact.t list
 val get : t -> int -> Fact.t
 
@@ -76,23 +72,28 @@ val iter_run : t -> lo:string -> hi:string -> (Fact.t -> unit) -> unit
     then a sequential walk, allocating nothing. The batched-resolution
     primitive behind {!Pyramid.find_run}. *)
 
-val exists_in_range : t -> lo:string -> hi:string -> bool
-(** Is any fact's key within [lo, hi]? *)
+val merge_many :
+  ?keep:(Fact.t -> bool) -> ?latest:bool -> ?drop_tombstones:bool -> t list -> t
+(** The pyramid's one merge: a k-way merge of runs given shallowest first.
+    Of facts sharing a (key, seq) the shallowest run's survives; survivors
+    failing [keep] are dropped. [latest] keeps only each key's first kept
+    fact (valid only at a pyramid's bottom, where no older level can
+    resurrect what it drops), and [drop_tombstones] then drops keys whose
+    first kept fact is a retraction. A lone run losing nothing is returned
+    as is. *)
+
+val iter_merged :
+  ?keep:(Fact.t -> bool) -> ?latest:bool -> ?drop_tombstones:bool -> t list ->
+  (Fact.t -> unit) -> unit
+(** Visit what {!merge_many} keeps, in order, building no patch (no
+    bloom filter): the scan primitive. *)
 
 val merge : t -> t -> t
-(** Combine two patches (the pyramid's merge operation). Commutative,
-    associative and idempotent — merging a patch with itself, or replaying
-    a merge, yields the same result. *)
-
-val merge_many : t list -> t
-
-val filter : t -> (Fact.t -> bool) -> t
-(** Keep only matching facts (elide-aware flatten uses this). *)
+(** [merge_many [a; b]]: idempotent, and commutative and associative
+    when equal (key, seq) facts agree. *)
 
 val compact_latest : t -> drop_tombstones:bool -> t
-(** Keep only the newest fact per key — valid only at the bottom of a
-    pyramid, where no older level can resurrect superseded facts. With
-    [drop_tombstones] the retractions themselves are discarded too. *)
+(** [merge_many ~latest:true ~drop_tombstones [t]]. *)
 
 val serialize : t -> string
 val deserialize : string -> t

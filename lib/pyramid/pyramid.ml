@@ -46,6 +46,20 @@ let policy_is_elision t = match t.policy with Elide _ -> true | Tombstones -> fa
 
 let bump_seq t seq = if Int64.compare seq t.max_seq > 0 then t.max_seq <- seq
 
+(* Merges drop what the elide table retracts: elide ids are never
+   reused, so filtering against the full table is always safe. *)
+let live_filter t =
+  match t.policy with
+  | Tombstones -> None
+  | Elide rule -> Some (fun f -> not (Ranges.mem t.elide_ranges (rule f)))
+
+let merge_step t =
+  match t.patches with
+  | a :: b :: rest ->
+    t.patches <- Patch.merge_many ?keep:(live_filter t) [ a; b ] :: rest;
+    true
+  | _ -> false
+
 (* Size-tiered maintenance: after a flush, merge the shallowest patches
    while the newer one has grown to at least half the older one's size.
    This keeps the patch count logarithmic in the number of flushes, like
@@ -53,24 +67,15 @@ let bump_seq t seq = if Int64.compare seq t.max_seq > 0 then t.max_seq <- seq
    (elided facts are dropped by the merges along the way). *)
 let rec auto_compact t =
   match t.patches with
-  | a :: b :: rest when 2 * Patch.count a >= Patch.count b ->
-    let merged =
-      match t.policy with
-      | Tombstones -> Patch.merge a b
-      | Elide _ ->
-        Patch.filter (Patch.merge a b) (fun f ->
-            match t.policy with
-            | Elide rule -> not (Ranges.mem t.elide_ranges (rule f))
-            | Tombstones -> true)
-    in
-    t.patches <- merged :: rest;
-    auto_compact t
+  | a :: b :: _ when 2 * Patch.count a >= Patch.count b -> if merge_step t then auto_compact t
   | _ -> ()
+
+let memtable_patch t =
+  Patch.of_facts (Stbl.fold (fun _ fs acc -> List.rev_append fs acc) t.memtable [])
 
 let flush t =
   if t.memtable_count > 0 then begin
-    let facts = Stbl.fold (fun _ fs acc -> List.rev_append fs acc) t.memtable [] in
-    t.patches <- Patch.of_facts facts :: t.patches;
+    t.patches <- memtable_patch t :: t.patches;
     Stbl.reset t.memtable;
     t.memtable_count <- 0;
     auto_compact t
@@ -211,6 +216,20 @@ let latest_fact_naive t ~snapshot key =
   List.iter (fun p -> List.iter consider (Patch.find p key)) t.patches;
   !best
 
+(* Is any fact for [key] newer than [than]? Only the memtable and the
+   patches whose newest fact postdates [than] can hold one, so older
+   patches are skipped by their seq fence. Counts no probes. *)
+let has_newer t key ~than =
+  let newer f = Int64.compare f.Fact.seq than > 0 in
+  (match Stbl.find_opt t.memtable key with Some fs -> List.exists newer fs | None -> false)
+  || List.exists
+       (fun p ->
+         Int64.compare (Patch.max_seq p) than > 0
+         && Patch.fence_admits p key
+         && Patch.bloom_admits p key
+         && match Patch.find_latest p key with Some f -> newer f | None -> false)
+       t.patches
+
 let resolve t ~snapshot ~ignore_retractions fact =
   match fact with
   | None -> None
@@ -224,9 +243,7 @@ let find ?(snapshot = no_snapshot) t key =
   resolve t ~snapshot ~ignore_retractions:false (latest_fact t ~snapshot key)
 
 let find_ignoring_retractions ?(snapshot = no_snapshot) t key =
-  match latest_fact t ~snapshot key with
-  | Some f when not (Fact.is_tombstone f) -> f.Fact.value
-  | Some _ | None -> None
+  resolve t ~snapshot ~ignore_retractions:true (latest_fact t ~snapshot key)
 
 let find_naive ?(snapshot = no_snapshot) t key =
   resolve t ~snapshot ~ignore_retractions:false (latest_fact_naive t ~snapshot key)
@@ -268,33 +285,19 @@ let find_run ?(snapshot = no_snapshot) t ~n ~key_of ~index =
   end;
   best
 
-let memtable_patch t =
-  Patch.of_facts (Stbl.fold (fun _ fs acc -> List.rev_append fs acc) t.memtable [])
-
-let merged_view t = Patch.merge_many (memtable_patch t :: t.patches)
-
+(* One k-way merge over memtable and patches: the first in-snapshot fact
+   per key is its latest version; retracted ones read as absent. *)
 let iter_live ?(snapshot = no_snapshot) t f =
-  let view = merged_view t in
-  let current_key = ref None in
-  let emitted = ref false in
-  Patch.iter view (fun fact ->
-      let same_key =
-        match !current_key with
-        | Some k -> String.equal k fact.Fact.key
-        | None -> false
-      in
-      (if not same_key then begin
-         current_key := Some fact.Fact.key;
-         emitted := false
-       end);
-      if (not !emitted) && Int64.compare fact.Fact.seq snapshot <= 0 then begin
-        emitted := true;
-        (* first in-snapshot fact for the key = its latest version *)
-        if not (Fact.is_tombstone fact) && not (elided_at t ~snapshot fact) then
-          match fact.Fact.value with
-          | Some value -> f ~key:fact.Fact.key ~value
-          | None -> ()
-      end)
+  let keep =
+    if Int64.equal snapshot no_snapshot then None
+    else Some (fun fact -> Int64.compare fact.Fact.seq snapshot <= 0)
+  in
+  Patch.iter_merged ?keep ~latest:true ~drop_tombstones:true (memtable_patch t :: t.patches)
+    (fun fact ->
+      if not (elided_at t ~snapshot fact) then
+        match fact.Fact.value with
+        | Some value -> f ~key:fact.Fact.key ~value
+        | None -> ())
 
 let range ?(snapshot = no_snapshot) t ~lo ~hi =
   let acc = ref [] in
@@ -336,21 +339,11 @@ let exists_live_in_range ?(snapshot = no_snapshot) t ~lo ~hi =
     false
   with Exit -> true
 
-let not_elided t f = not (elided_at t ~snapshot:no_snapshot f)
-
-let merge_step t =
-  match t.patches with
-  | a :: b :: rest ->
-    let merged = Patch.filter (Patch.merge a b) (not_elided t) in
-    t.patches <- merged :: rest;
-    true
-  | _ -> false
-
 let flatten t =
   flush t;
-  let all = Patch.merge_many t.patches in
-  let live = Patch.filter all (not_elided t) in
-  let bottom = Patch.compact_latest live ~drop_tombstones:true in
+  let bottom =
+    Patch.merge_many ?keep:(live_filter t) ~latest:true ~drop_tombstones:true t.patches
+  in
   t.patches <- (if Patch.is_empty bottom then [] else [ bottom ])
 
 let patch_count t = List.length t.patches

@@ -101,6 +101,11 @@ val exists_live_in_range : ?snapshot:int64 -> t -> lo:string -> hi:string -> boo
     [range t ~lo ~hi <> []] but walks only the facts inside each
     overlapping patch's fence instead of merging the whole pyramid. *)
 
+val has_newer : t -> string -> than:int64 -> bool
+(** Is any fact for the key newer than [than]? Consults only the memtable
+    and patches whose newest fact is; tells maintenance whether a mapping
+    it read earlier has since been superseded. *)
+
 (** {1 Maintenance} *)
 
 val flush : t -> unit

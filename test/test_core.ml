@@ -460,6 +460,54 @@ let test_gc_after_failover () =
   let s = Fa.stats a in
   check bool "array functional after failover+gc" true (s.Fa.segments_live > 0)
 
+(* An overwrite acknowledged while GC's relocation read of the same block
+   is in flight must win: the pass re-points only mappings nothing has
+   superseded since its liveness scan. Block 0's cblock is the only live
+   data in the victim, so the pass's first relocation read is block 0's;
+   the read-fault probe (which never faults) issues the overwrite right
+   after that read starts. *)
+let test_gc_keeps_overwrite_during_relocation () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:512);
+  write_ok clock a ~volume:"v" ~block:0 (random_data 64);
+  (* churn that is overwritten later: block 0's segment ends up mostly dead *)
+  for _ = 1 to 6 do
+    write_ok clock a ~volume:"v" ~block:128 (random_data 128)
+  done;
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let fresh = random_data 64 in
+  let acked = ref false and reads_issued = ref 0 in
+  Fa.set_read_fault a
+    (Some
+       (fun ~drive:_ ->
+         incr reads_issued;
+         if !reads_issued = 1 then
+           Clock.schedule clock ~delay:0.0 (fun () ->
+               Fa.write a ~volume:"v" ~block:0 fresh (fun r ->
+                   ok r;
+                   acked := true));
+         false));
+  let report = ref None in
+  Fa.gc ~min_dead_ratio:0.6 ~max_victims:64 a (fun r -> report := Some r);
+  while (not !acked) && Clock.step clock do
+    ()
+  done;
+  check bool "overwrite acked" true !acked;
+  check bool "overwrite acked before the pass ends" true (Option.is_none !report);
+  Clock.run clock;
+  Fa.set_read_fault a None;
+  (match !report with
+  | Some r ->
+    check bool "victims released" true (r.Purity_core.Gc.victims <> []);
+    check int "superseded cblock not copied" 0 r.Purity_core.Gc.relocated_cblocks
+  | None -> Alcotest.fail "gc never completed");
+  check bool "read returns the overwrite" true
+    (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = fresh);
+  Fa.crash a;
+  ignore (await clock (fun k -> Fa.failover a k));
+  check bool "overwrite survives crash + failover" true
+    (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = fresh)
+
 (* ---------- scrub ---------- *)
 
 let test_scrub_clean_array () =
@@ -833,6 +881,8 @@ let () =
           Alcotest.test_case "delete volume reclaim" `Quick test_delete_volume_then_gc_reclaims;
           Alcotest.test_case "after failover" `Quick test_gc_after_failover;
           Alcotest.test_case "segregates shared cblocks" `Quick test_gc_segregates_shared_cblocks;
+          Alcotest.test_case "keeps overwrite during relocation" `Quick
+            test_gc_keeps_overwrite_during_relocation;
         ] );
       ( "scrub",
         [

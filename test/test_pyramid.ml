@@ -571,25 +571,147 @@ let prop_find_run_equals_point =
             (List.init n Fun.id))
         [ 0; 7; 25 ])
 
-let prop_merge_many_equals_fold =
-  QCheck.Test.make ~name:"pairwise merge_many = left-fold merge" ~count:100
+(* ---------- the merge kernel vs a list reference ---------- *)
+
+(* What every merge must compute: concatenate the runs (shallowest
+   first), stable-sort by key ascending then seq descending, and drop
+   adjacent (key, seq) duplicates, keeping the first — the shallower
+   run's fact. Then keep what [keep] accepts and, under [latest], only the
+   first fact per key, minus tombstones under [drop_tombstones]. *)
+let reference_merge ?(keep = fun _ -> true) ?(latest = false) ?(drop_tombstones = false) runs =
+  let same_key a b = String.equal a.Fact.key b.Fact.key in
+  let rec dedup = function
+    | a :: b :: rest when same_key a b && Int64.equal a.Fact.seq b.Fact.seq -> dedup (a :: rest)
+    | a :: rest -> a :: dedup rest
+    | [] -> []
+  in
+  let rec first_per_key = function
+    | a :: b :: rest when same_key a b -> first_per_key (a :: rest)
+    | a :: rest -> a :: first_per_key rest
+    | [] -> []
+  in
+  let facts = List.filter keep (dedup (List.stable_sort Fact.compare_key_seq (List.concat runs))) in
+  if not latest then facts
+  else List.filter (fun f -> not (drop_tombstones && Fact.is_tombstone f)) (first_per_key facts)
+
+let same_facts a b = List.length a = List.length b && List.for_all2 Fact.equal a b
+
+(* Facts over a tiny key and seq space, so one (key, seq) lands in several
+   runs — usually with different values. *)
+let fact_gen ~tombstones =
+  QCheck.Gen.(
+    map3
+      (fun key seq v ->
+        let seq = Int64.of_int (seq + 1) in
+        match v with
+        | Some v -> Fact.make ~key ~value:(string_of_int v) ~seq
+        | None -> Fact.tombstone ~key ~seq)
+      (string_size ~gen:(char_range 'a' 'd') (1 -- 2))
+      (int_bound 11)
+      (if tombstones then opt ~ratio:0.8 (int_bound 99) else map Option.some (int_bound 99)))
+
+let runs_gen ~tombstones = QCheck.Gen.(list_size (0 -- 6) (list_size (0 -- 25) (fact_gen ~tombstones)))
+
+let print_runs runs =
+  String.concat " | "
+    (List.map (fun run -> String.concat " " (List.map (Fmt.str "%a" Fact.pp) run)) runs)
+
+(* keeps depend on the value, so which duplicate survives matters *)
+let odd_value f = match f.Fact.value with Some v -> int_of_string v mod 2 = 1 | None -> true
+
+let prop_merge_many_equals_reference =
+  QCheck.Test.make ~name:"merge_many = list reference merge" ~count:300
+    (QCheck.make ~print:print_runs (runs_gen ~tombstones:true))
+    (fun specs ->
+      let patches = List.map Patch.of_facts specs in
+      let runs = List.map Patch.to_list patches in
+      List.for_all
+        (fun (keep, latest, drop_tombstones) ->
+          let expect = reference_merge ?keep ~latest ~drop_tombstones runs in
+          let seen = ref [] in
+          Patch.iter_merged ?keep ~latest ~drop_tombstones patches (fun f -> seen := f :: !seen);
+          same_facts expect (Patch.to_list (Patch.merge_many ?keep ~latest ~drop_tombstones patches))
+          && same_facts expect (List.rev !seen))
+        [
+          (None, false, false);
+          (Some odd_value, false, false);
+          (None, true, false);
+          (None, true, true);
+          (Some odd_value, true, true);
+        ])
+
+(* Build a pyramid from batches, oldest first: every batch but the last
+   is flushed (size-tiered compaction runs), the last stays in the
+   memtable. Under elision the facts' first letter is their elide id and
+   [elides] are applied afterwards at seqs 101, 102, ... Checks
+   iter_live at a random snapshot and at the edges, then merge_step, then
+   flatten, each against [reference_merge] over the batches. *)
+let check_pyramid_against_reference ~elision ((batches, elides), snapshot) =
+  let id_of f = Char.code f.Fact.key.[0] - Char.code 'a' in
+  let policy = if elision then Pyramid.Elide id_of else Pyramid.Tombstones in
+  let p = Pyramid.create ~memtable_flush_count:1000 ~policy ~name:"ref" () in
+  let nbatches = List.length batches in
+  List.iteri
+    (fun i batch ->
+      List.iter (Pyramid.insert_fact p) batch;
+      if i < nbatches - 1 then Pyramid.flush p)
+    batches;
+  let elides = if elision then List.mapi (fun i id -> (Int64.of_int (101 + i), id)) elides else [] in
+  List.iter (fun (seq, id) -> Pyramid.elide_id p ~seq id) elides;
+  let elided_at s f = List.exists (fun (eseq, id) -> Int64.compare eseq s <= 0 && id = id_of f) elides in
+  (* the memtable keeps the first insert of a (key, seq); so does the
+     stable sort within a batch *)
+  let runs = List.rev batches in
+  let live_at s =
+    let got = ref [] in
+    Pyramid.iter_live ~snapshot:s p (fun ~key ~value -> got := (key, value) :: !got);
+    let expect =
+      reference_merge ~keep:(fun f -> Int64.compare f.Fact.seq s <= 0) ~latest:true
+        ~drop_tombstones:true runs
+      |> List.filter (fun f -> not (elided_at s f))
+      |> List.filter_map (fun f -> Option.map (fun v -> (f.Fact.key, v)) f.Fact.value)
+    in
+    List.rev !got = expect
+  in
+  let not_elided f = not (elided_at Int64.max_int f) in
+  let snapshots = [ 0L; Int64.of_int snapshot; 12L; 101L; 102L; 103L; Int64.max_int ] in
+  List.for_all live_at snapshots
+  && begin
+       Pyramid.flush p;
+       match Pyramid.patches p with
+       | a :: b :: rest ->
+         let expect = reference_merge ~keep:not_elided [ Patch.to_list a; Patch.to_list b ] in
+         Pyramid.merge_step p
+         && List.length (Pyramid.patches p) = List.length rest + 1
+         && same_facts expect (Patch.to_list (List.hd (Pyramid.patches p)))
+       | _ -> not (Pyramid.merge_step p)
+     end
+  && begin
+       Pyramid.flatten p;
+       let expect = reference_merge ~keep:not_elided ~latest:true ~drop_tombstones:true runs in
+       match Pyramid.patches p with
+       | [] -> expect = []
+       | [ bottom ] -> same_facts expect (Patch.to_list bottom)
+       | _ -> false
+     end
+
+let prop_pyramid_ops_equal_reference ~elision =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "%s pyramid = list reference" (if elision then "elision" else "tombstone"))
+    ~count:200
     (QCheck.make
+       ~print:(fun ((batches, elides), snapshot) ->
+         Printf.sprintf "%s; elide %s; snapshot %d" (print_runs batches)
+           (String.concat "," (List.map string_of_int elides))
+           snapshot)
        QCheck.Gen.(
-         list_size (0 -- 8)
-           (list_size (0 -- 20)
-              (pair (string_size ~gen:(char_range 'a' 'd') (1 -- 2)) (int_bound 20)))))
-    (fun patch_specs ->
-      let patches =
-        List.map
-          (fun spec ->
-            Patch.of_facts
-              (List.map (fun (k, s) -> mk k (k ^ string_of_int s) (Int64.of_int (s + 1))) spec))
-          patch_specs
-      in
-      let fast = Patch.merge_many patches in
-      let slow = List.fold_left Patch.merge Patch.empty patches in
-      List.length (Patch.to_list fast) = List.length (Patch.to_list slow)
-      && List.for_all2 Fact.equal (Patch.to_list fast) (Patch.to_list slow))
+         pair
+           (pair
+              (list_size (1 -- 5) (list_size (0 -- 20) (fact_gen ~tombstones:(not elision))))
+              (list_size (0 -- 3) (int_bound 3)))
+           (int_bound 13)))
+    (check_pyramid_against_reference ~elision)
 
 let prop_pyramid_matches_model =
   (* Pyramid vs a naive Map model under random insert/delete/flush/merge. *)
@@ -677,7 +799,9 @@ let () =
           Alcotest.test_case "exists_live_in_range" `Quick test_exists_live_in_range;
           QCheck_alcotest.to_alcotest prop_fast_find_equals_naive;
           QCheck_alcotest.to_alcotest prop_find_run_equals_point;
-          QCheck_alcotest.to_alcotest prop_merge_many_equals_fold;
+          QCheck_alcotest.to_alcotest prop_merge_many_equals_reference;
+          QCheck_alcotest.to_alcotest (prop_pyramid_ops_equal_reference ~elision:false);
+          QCheck_alcotest.to_alcotest (prop_pyramid_ops_equal_reference ~elision:true);
         ] );
       ( "elision",
         [
