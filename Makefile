@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint torture torture-ac bench bench-micro bench-kernels clean
+.PHONY: all check test lint torture torture-array torture-ac bench bench-micro bench-kernels clean
 
 all:
 	dune build
@@ -19,9 +19,16 @@ lint:
 	dune build @lint
 
 # Extended fault-injection sweep (~1000 random scenarios through
-# purity.check); minutes, not seconds — deliberately outside tier-1.
+# purity.check, each run twice and digest-compared); minutes, not
+# seconds — deliberately outside tier-1.
 torture:
 	dune build @torture
+
+# The single-array sweep over the fixed seed range 1000..1199 CI gates
+# on: crashes, drive pulls, corruption and NVRAM loss, each scenario run
+# twice with matching digests.
+torture-array:
+	dune build @torture-array
 
 # Stretched-pod (ActiveCluster) sweep: partitions, mediator loss and
 # crashes over the fixed seed range 1..200 CI gates on, audited by the

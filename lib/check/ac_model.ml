@@ -57,8 +57,6 @@ let create_volume t name ~blocks =
   let mk _ = { cands = [ Model.Zero ]; obs_a = None; obs_b = None; converged = true } in
   Hashtbl.replace t.views name (Array.init blocks mk)
 
-let blocks t name = Option.map Array.length (Hashtbl.find_opt t.views name)
-
 let cells_of t view block nblocks =
   match Hashtbl.find_opt t.views view with
   | None -> None

@@ -1,11 +1,7 @@
-(* Fault plans for the ActiveCluster torture suite.
-
-   Same philosophy as {!Plan}: a plan is a seed plus a self-contained
-   event list, so dropping events during shrinking never changes the
-   meaning of the events that remain. The vocabulary is the stretched
-   pod's: writes and reads landing on a chosen side, racing writes
-   landing on both at once, link partitions, mediator loss, single and
-   double array crashes, recoveries and settles (failback attempts).
+(* Fault plans for the ActiveCluster torture suite: writes and reads
+   landing on a chosen side, racing writes landing on both at once, link
+   partitions, mediator loss, single and double array crashes,
+   recoveries and settles (failback attempts).
 
    The generator emits recipes rather than isolated faults — a cut link
    with writes behind it so the mediation race actually runs, a timed
@@ -37,18 +33,25 @@ type op =
   | Settle  (* drive the pod toward the healthiest reachable status *)
   | Recover of side
 
-type event =
-  | Op of op
-  | Fault of fault
-  | Timed of { delay_us : float; fault : fault }
-      (* armed on the clock when reached: fires mid-way through whatever
-         runs next — the straddling-write scenarios *)
+(* the shared scenario event, re-exported so its constructors read
+   [Ac_plan.Op], ...; a timed cut fires mid-way through whatever runs
+   next — the straddling-write scenarios *)
+type ('op, 'fault) scenario_event = ('op, 'fault) Scenario.event =
+  | Op of 'op
+  | Fault of 'fault
+  | Timed of { delay_us : float; fault : 'fault }
+
+type event = (op, fault) scenario_event
 
 type t = {
   seed : int64;
   vols : (string * int) list;  (* stretched volumes the runner pre-creates *)
   events : event list;
 }
+
+let seed t = t.seed
+let events t = t.events
+let with_events t events = { t with events }
 
 (* ---------- pretty-printing (failure reports) ---------- *)
 
@@ -73,18 +76,10 @@ let pp_op ppf = function
   | Settle -> Format.fprintf ppf "settle"
   | Recover s -> Format.fprintf ppf "recover array %s" (side_name s)
 
-let pp_event ppf = function
-  | Op op -> pp_op ppf op
-  | Fault f -> Format.fprintf ppf "! %a" pp_fault f
-  | Timed { delay_us; fault } ->
-    Format.fprintf ppf "! after %.0fus: %a" delay_us pp_fault fault
-
 let pp ppf { seed; vols; events } =
-  Format.fprintf ppf "@[<v>seed %Ld, vols [%s], %d events:@," seed
+  Format.fprintf ppf "@[<v>seed %Ld, vols [%s], %d events:@,%a@]" seed
     (String.concat "; " (List.map (fun (n, b) -> Printf.sprintf "%s:%d" n b) vols))
-    (List.length events);
-  List.iteri (fun i e -> Format.fprintf ppf "%3d. %a@," i pp_event e) events;
-  Format.fprintf ppf "@]"
+    (List.length events) (Scenario.pp_events pp_op pp_fault) events
 
 (* ---------- generation ---------- *)
 

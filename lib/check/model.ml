@@ -60,7 +60,6 @@ type t = {
   zero_cell : cell;
   renders : (token, string) Hashtbl.t;
   mutable acked_writes : int;  (* Ok-acked app writes since last failover *)
-  mutable nvram_losses : int;
 }
 
 let create ?(seed = 0L) ~block_size () =
@@ -72,7 +71,6 @@ let create ?(seed = 0L) ~block_size () =
     zero_cell = { v = Zero; durable = true; fragile = false; maybe = false; parent = None };
     renders = Hashtbl.create 256;
     acked_writes = 0;
-    nvram_losses = 0;
   }
 
 (* ---------- payloads ---------- *)
@@ -275,7 +273,6 @@ let iter_cells t f =
   Hashtbl.iter (fun _ tb -> seen_view tb.t_view) t.tombs
 
 let nvram_lost t =
-  t.nvram_losses <- t.nvram_losses + 1;
   iter_cells t (fun c -> if not c.durable then c.fragile <- true);
   Hashtbl.iter
     (fun _ v -> if not v.ns_durable then v.ns_fragile <- true)
@@ -307,14 +304,12 @@ let stabilized t =
     t.views;
   Hashtbl.reset t.tombs
 
-let failed_over t = t.acked_writes <- 0
-
 (* Post-failover reconciliation: the array's volume listing is ground
    truth for everything the model holds only uncertainly. Certain state
    must match exactly — a missing volume, a resurrected one, or a size
    the history cannot produce is a violation. *)
 let reconcile t arr_listing =
-  failed_over t;
+  t.acked_writes <- 0;
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
   let seen = Hashtbl.create 16 in
@@ -365,4 +360,3 @@ let reconcile t arr_listing =
   match !err with Some msg -> Error msg | None -> Ok ()
 
 let acked_writes t = t.acked_writes
-let nvram_losses t = t.nvram_losses

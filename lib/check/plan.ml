@@ -28,14 +28,20 @@ type op =
   | Scrub
   | Rebuild of int
 
-type event =
-  | Op of op
-  | Fault of fault
-  | Timed of { delay_us : float; fault : fault }
-      (* armed on the simulation clock when reached, so the fault fires in
-         the middle of whatever runs next (a rebuild, a GC pass, ...) *)
+(* the shared scenario event, re-exported so its constructors read
+   [Plan.Op], [Plan.Timed], ... *)
+type ('op, 'fault) scenario_event = ('op, 'fault) Scenario.event =
+  | Op of 'op
+  | Fault of 'fault
+  | Timed of { delay_us : float; fault : 'fault }
+
+type event = (op, fault) scenario_event
 
 type t = { seed : int64; events : event list }
+
+let seed t = t.seed
+let events t = t.events
+let with_events t events = { t with events }
 
 (* ---------- pretty-printing (failure reports) ---------- *)
 
@@ -69,16 +75,9 @@ let pp_op ppf = function
   | Scrub -> Format.fprintf ppf "scrub"
   | Rebuild d -> Format.fprintf ppf "rebuild drive %d" d
 
-let pp_event ppf = function
-  | Op op -> pp_op ppf op
-  | Fault f -> Format.fprintf ppf "! %a" pp_fault f
-  | Timed { delay_us; fault } ->
-    Format.fprintf ppf "! after %.0fus: %a" delay_us pp_fault fault
-
 let pp ppf { seed; events } =
-  Format.fprintf ppf "@[<v>seed %Ld, %d events:@," seed (List.length events);
-  List.iteri (fun i e -> Format.fprintf ppf "%3d. %a@," i pp_event e) events;
-  Format.fprintf ppf "@]"
+  Format.fprintf ppf "@[<v>seed %Ld, %d events:@,%a@]" seed (List.length events)
+    (Scenario.pp_events pp_op pp_fault) events
 
 (* ---------- generation ---------- *)
 

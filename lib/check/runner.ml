@@ -1,11 +1,10 @@
-(* Scenario runner: executes a fault plan against a real array while the
-   reference model shadows it, audits the durability contract, and on
-   failure shrinks the event trace to a minimal reproduction.
-
-   Everything is deterministic per plan: payloads derive from the plan
-   seed, faults resolve from execution state, and the runner adds no
-   randomness of its own — so re-running a (possibly shrunk) event list
-   reproduces the failure bit-for-bit. *)
+(* The single-array system for {!Scenario}: executes a fault plan
+   against a real array while the reference model shadows it, and audits
+   the durability contract — every block of every view read back, before
+   and after one more clean failover. The execution digest folds the
+   bytes of every read (the final audit's included), the [Fa.stats]
+   counters and the simulated clock, so the array sweep also fails on
+   nondeterministic replay. *)
 
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
@@ -15,7 +14,7 @@ module Shelf = Purity_ssd.Shelf
 module Drive = Purity_ssd.Drive
 module Nvram = Purity_ssd.Nvram
 
-exception Violation of string
+open Scenario
 
 (* The laptop-scale geometry the crash tests have always used: 7 drives,
    3+2 Reed-Solomon, small AUs so GC and rebuild have real work. *)
@@ -41,20 +40,14 @@ type ctx = {
   arr : Fa.t;
   model : Model.t;
   cfg : Fa.config;
-  mutable step : int;
   mutable pulled : int list;
   mutable unrebuilt : int list;  (* replaced, rebuild not yet completed *)
   mutable corrupt_units : int;
   mutable pending_crash_mode : Plan.mode option;
   mutable reads_issued : int;
   mutable losses : int;
+  mutable digest : int;
 }
-
-let await ctx f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run ctx.clock;
-  !r
 
 (* Live fault budget: the same ceiling the generator respects, re-checked
    at execution time because shrinking can remove the event that would
@@ -130,7 +123,7 @@ let handle_offline ctx =
     | _ -> Recovery.Frontier_scan
   in
   ctx.pending_crash_mode <- None;
-  match await ctx (fun k -> Fa.failover ~mode ctx.arr k) with
+  match await ctx.clock (fun k -> Fa.failover ~mode ctx.arr k) with
   | None -> raise (Violation "failover never completed")
   | Some (_ : Recovery.report) -> (
     match Model.reconcile ctx.model (Fa.list_volumes ctx.arr) with
@@ -182,7 +175,7 @@ let do_read ctx ~view ~block ~nblocks =
     | Some b when block + nblocks > b -> `Out_of_range
     | Some _ -> `Data
   in
-  match await ctx (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
+  match await ctx.clock (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
   | None -> ()  (* interrupted by a crash; nothing was promised *)
   | Some (Ok data) -> (
     if expect <> `Data then
@@ -190,6 +183,7 @@ let do_read ctx ~view ~block ~nblocks =
         (Violation
            (Printf.sprintf "read %s[%d..%d] succeeded but the model forbids it" view block
               (block + nblocks - 1)));
+    ctx.digest <- Scenario.mix ctx.digest data;
     match Model.check_read m ~view ~block ~nblocks data with
     | Ok () -> ()
     | Error msg -> raise (Violation msg))
@@ -255,7 +249,7 @@ let exec_op ctx (op : Plan.op) =
         if block + nblocks > Option.get (Model.blocks m view) then `Out_of_range else `Ok
     in
     let data = Model.payload m ~wid ~nblocks in
-    match await ctx (Fa.write ctx.arr ~volume:view ~block data) with
+    match await ctx.clock (Fa.write ctx.arr ~volume:view ~block data) with
     | None ->
       (* controller died mid-write: not acked, outcome ambiguous *)
       if expect = `Ok then Model.write m ~view ~block ~wid ~nblocks ~acked:false
@@ -279,33 +273,29 @@ let exec_op ctx (op : Plan.op) =
     | Some (Error `Fenced) -> raise (Violation ("spurious Fenced writing " ^ view)))
   | Plan.Read { view; block; nblocks } -> do_read ctx ~view ~block ~nblocks
   | Plan.Flush -> (
-    match await ctx (fun k -> Fa.flush ctx.arr (fun () -> k ())) with
+    match await ctx.clock (fun k -> Fa.flush ctx.arr (fun () -> k ())) with
     | Some () when Fa.is_online ctx.arr -> Model.stabilized ctx.model
     | _ -> ())
   | Plan.Checkpoint -> (
-    match await ctx (fun k -> Fa.checkpoint ctx.arr k) with
+    match await ctx.clock (fun k -> Fa.checkpoint ctx.arr k) with
     | Some _ when Fa.is_online ctx.arr -> Model.stabilized ctx.model
     | _ -> ())
-  | Plan.Gc -> ignore (await ctx (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 ctx.arr k))
+  | Plan.Gc -> ignore (await ctx.clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 ctx.arr k))
   | Plan.Scrub -> (
-    match await ctx (fun k -> Fa.scrub ctx.arr k) with
+    match await ctx.clock (fun k -> Fa.scrub ctx.arr k) with
     | Some _ when Fa.is_online ctx.arr ->
       (* scrub relocated what it found; re-derive the live corruption
          budget from the marks actually left on the drives *)
       ctx.corrupt_units <- residual_corrupt_units ctx
     | _ -> ())
   | Plan.Rebuild d -> (
-    match await ctx (fun k -> Fa.rebuild_drive ctx.arr d k) with
+    match await ctx.clock (fun k -> Fa.rebuild_drive ctx.arr d k) with
     | Some (_ : int) when Fa.is_online ctx.arr ->
       ctx.unrebuilt <- List.filter (( <> ) d) ctx.unrebuilt
     | _ -> () (* interrupted: still missing shards; finalize retries *))
 
-let exec_event ctx (ev : Plan.event) =
-  (match ev with
-  | Plan.Op op -> exec_op ctx op
-  | Plan.Fault f -> apply_fault ctx f
-  | Plan.Timed { delay_us; fault } ->
-    Clock.schedule ctx.clock ~delay:delay_us (fun () -> apply_fault ctx fault));
+let exec_event ctx ev =
+  dispatch ctx.clock ~op:(exec_op ctx) ~fault:(apply_fault ctx) ev;
   if not (Fa.is_online ctx.arr) then settle ctx
 
 (* ---------- audits ---------- *)
@@ -395,12 +385,7 @@ let finalize ctx =
   while ctx.unrebuilt <> [] do
     decr guard;
     if !guard < 0 then raise (Violation "rebuild never completes");
-    let d = List.hd ctx.unrebuilt in
-    (match await ctx (fun k -> Fa.rebuild_drive ctx.arr d k) with
-    | Some (_ : int) when Fa.is_online ctx.arr ->
-      ctx.unrebuilt <- List.filter (( <> ) d) ctx.unrebuilt
-    | _ -> ());
-    settle ctx
+    exec_event ctx (Plan.Op (Plan.Rebuild (List.hd ctx.unrebuilt)))
   done;
   audit_namespace ctx;
   audit_data ctx;
@@ -414,113 +399,43 @@ let finalize ctx =
   audit_mapping_cache ctx;
   audit_counters ctx
 
-(* ---------- plan execution ---------- *)
+(* Everything externally visible at the end of a run, after [finalize]. *)
+let digest ctx =
+  let s = Fa.stats ctx.arr and mix = Scenario.mix in
+  let d = mix ctx.digest (s.Fa.app_writes, s.Fa.app_reads, s.Fa.logical_bytes_written) in
+  let d = mix d (s.Fa.stored_bytes_written, s.Fa.live_logical_bytes, s.Fa.physical_bytes_used) in
+  let d = mix d (s.Fa.provisioned_virtual_bytes, s.Fa.dedup_blocks, s.Fa.gc_dedup_blocks) in
+  let d = mix d (s.Fa.boot_region_writes, s.Fa.segments_live, s.Fa.availability) in
+  mix (mix (mix d (s.Fa.cache_hits, s.Fa.cache_misses)) s.Fa.io) (Clock.now ctx.clock)
 
-let run_plan ?(config = default_config) (plan : Plan.t) =
-  let model_seed = plan.Plan.seed in
-  let clock = Clock.create () in
-  let arr = Fa.create ~config ~clock () in
-  let ctx =
+include Scenario.Make (struct
+  include Plan
+
+  type config = Fa.config
+  type nonrec ctx = ctx
+
+  let kind = "durability"
+  let default_config = default_config
+
+  let setup config (plan : Plan.t) =
+    let clock = Clock.create () in
     {
       clock;
-      arr;
-      model = Model.create ~seed:model_seed ~block_size:Fa.block_size ();
+      arr = Fa.create ~config ~clock ();
+      model = Model.create ~seed:plan.Plan.seed ~block_size:Fa.block_size ();
       cfg = config;
-      step = 0;
       pulled = [];
       unrebuilt = [];
       corrupt_units = 0;
       pending_crash_mode = None;
       reads_issued = 0;
       losses = 0;
+      digest = 0;
     }
-  in
-  try
-    List.iteri
-      (fun i ev ->
-        ctx.step <- i;
-        exec_event ctx ev)
-      plan.Plan.events;
-    ctx.step <- List.length plan.Plan.events;
-    finalize ctx;
-    Ok ()
-  with
-  | Violation msg -> Error (ctx.step, msg)
-  | exn -> Error (ctx.step, "exception: " ^ Printexc.to_string exn)
 
-(* ---------- shrinking ---------- *)
+  let exec_event = exec_event
+  let audit = finalize
+  let digest = digest
+end)
 
-let remove_slice l i n = List.filteri (fun j _ -> j < i || j >= i + n) l
-
-(* Greedy delta-debugging: try dropping ever-smaller slices, keeping any
-   removal after which the scenario still fails. [fails] must be a pure
-   function of the event list — which it is, because events are
-   self-contained (payload ids, ranks) rather than positions in a shared
-   random stream. *)
-let shrink ?(budget = 250) ~fails events failure =
-  let evs = ref events and last = ref failure and left = ref budget in
-  let changed = ref true in
-  while !changed && !left > 0 do
-    changed := false;
-    let size = ref (max 1 (List.length !evs / 2)) in
-    while !size >= 1 && !left > 0 do
-      let i = ref 0 in
-      while !i + !size <= List.length !evs && !left > 0 do
-        decr left;
-        let cand = remove_slice !evs !i !size in
-        match fails cand with
-        | Some failure ->
-          evs := cand;
-          last := failure;
-          changed := true
-        | None -> i := !i + !size
-      done;
-      size := !size / 2
-    done
-  done;
-  (!evs, !last)
-
-(* ---------- reports ---------- *)
-
-type report = {
-  seed : int64;
-  step : int;  (** event index the (shrunk) run failed at *)
-  violation : string;
-  trace : Plan.event list;  (** shrunk reproduction *)
-  original_events : int;
-}
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>durability violation at seed %Ld (step %d):@,  %s@,%a@,reproduce with: Runner.run_plan { seed = %LdL; events }  (or re-run this seed)@]"
-    r.seed r.step r.violation Plan.pp
-    { Plan.seed = r.seed; events = r.trace }
-    r.seed
-
-let report_to_string r = Format.asprintf "%a" pp_report r
-
-let check_seed ?(gen = Plan.default_gen) ?(config = default_config) ?(shrink_budget = 250)
-    seed =
-  let plan = Plan.generate ~cfg:gen seed in
-  match run_plan ~config plan with
-  | Ok () -> Ok ()
-  | Error failure ->
-    let fails evs =
-      match run_plan ~config { plan with Plan.events = evs } with
-      | Ok () -> None
-      | Error f -> Some f
-    in
-    let trace, (step, violation) = shrink ~budget:shrink_budget ~fails plan.Plan.events failure in
-    Error { seed; step; violation; trace; original_events = List.length plan.Plan.events }
-
-(* Run seeds [base, base+count); return the first failure, shrunk. *)
-let sweep ?gen ?config ?shrink_budget ~base ~count () =
-  let rec go i =
-    if i >= count then None
-    else
-      let seed = Int64.add base (Int64.of_int i) in
-      match check_seed ?gen ?config ?shrink_budget seed with
-      | Ok () -> go (i + 1)
-      | Error report -> Some report
-  in
-  go 0
+let shrink = Scenario.shrink

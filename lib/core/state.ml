@@ -85,17 +85,6 @@ let default_config =
 
 type volume_kind = Volume | Snapshot
 
-(* Flush-pipeline control state, epoch-published for cross-domain readers.
-   The metadata plane is single-writer (the simulated clock serialises the
-   controller), but derived telemetry and future off-main observers read
-   these fields; publishing an immutable snapshot through
-   [Purity_par.Epoch] keeps those reads wait-free and tear-free. *)
-type control_view = {
-  cv_next_segment : int;
-  cv_unflushed : int;
-  cv_pending_flushes : int;
-}
-
 (* Paper 4.6: instead of per-volume block-size tuning knobs, the array
    observes each volume's write sizes and sizes cblocks to match, so
    later reads (which overwhelmingly use the same size and alignment as
@@ -212,9 +201,6 @@ type t = {
       (* per-lane compress/frame scratch for the fill loop: index 0 is the
          controller's own (serial) arena; grown to the pool's lane count
          on first parallel fill (lane_arenas) *)
-  control_view : control_view Purity_par.Epoch.t;
-      (* single-writer epoch snapshot of the flush pipeline, republished
-         at every mutation of the fields it mirrors *)
   read_cache : (int * int, string) Purity_util.Lru.t; (* (segment, off) -> frame *)
   map_cache : (int * int, Blockref.t option) Purity_util.Lru.t;
       (* (medium, block) -> memoized block-pyramid lookup, negative
@@ -248,14 +234,9 @@ let fresh_volatile cfg clock =
 let register_derived_telemetry t =
   let reg = t.tel in
   Registry.derive_int reg "segments/live" (fun () -> Hashtbl.length t.segment_metas);
-  (* flush-pipeline metrics read the epoch snapshot, not the live record:
-     a snapshot read is wait-free and safe from any domain *)
-  Registry.derive_int reg "segments/unflushed" (fun () ->
-      (Purity_par.Epoch.read t.control_view).cv_unflushed);
-  Registry.derive_int reg "segments/pending_flushes" (fun () ->
-      (Purity_par.Epoch.read t.control_view).cv_pending_flushes);
-  Registry.derive_int reg "segments/next_id" (fun () ->
-      (Purity_par.Epoch.read t.control_view).cv_next_segment);
+  Registry.derive_int reg "segments/unflushed" (fun () -> Hashtbl.length t.unflushed);
+  Registry.derive_int reg "segments/pending_flushes" (fun () -> t.pending_flush_count);
+  Registry.derive_int reg "segments/next_id" (fun () -> t.next_segment_id);
   Registry.derive_int reg "volumes/count" (fun () -> Stbl.length t.volumes);
   Registry.derive_int reg "pyramid/blocks_facts" (fun () -> Pyramid.fact_count t.blocks);
   Registry.derive_int reg "pyramid/blocks_patches" (fun () -> Pyramid.patch_count t.blocks);
@@ -342,9 +323,6 @@ let create_over ~config ~clock ~shelf ~boot () =
     dedup = Dedup.create ~config:config.dedup_config ();
     dedup_locs = Hashtbl.create 1024;
     arenas = [| Arena.create () |];
-    control_view =
-      Purity_par.Epoch.create
-        { cv_next_segment = 1; cv_unflushed = 0; cv_pending_flushes = 0 };
     read_cache = Purity_util.Lru.create ~capacity:(max 1 config.read_cache_entries);
     map_cache = Purity_util.Lru.create ~capacity:(max 1 config.map_cache_entries);
     write_lat = Registry.histogram tel "write_path/latency_us";
@@ -381,17 +359,6 @@ let create ?(config = default_config) ~clock () =
   create_over ~config ~clock ~shelf ~boot ()
 
 let nvram t = Shelf.nvram t.shelf
-
-(* Re-publish the flush-pipeline snapshot; call after any mutation of
-   next_segment_id / unflushed / pending_flush_count. Main domain only
-   (the Epoch cell is single-writer). *)
-let publish_control_view t =
-  Purity_par.Epoch.publish t.control_view
-    {
-      cv_next_segment = t.next_segment_id;
-      cv_unflushed = Hashtbl.length t.unflushed;
-      cv_pending_flushes = t.pending_flush_count;
-    }
 
 (* The per-lane scratch arenas for a parallel segment fill, grown (on the
    main domain, before any fan-out) to at least the pool's lane count.
@@ -441,9 +408,48 @@ let table_tag pyr_name =
 
 exception Out_of_space
 
-(* Forward reference: writer_with_room must persist the boot region when
-   an allocation changed the frontier, but the encoder is defined below. *)
-let boot_persist_hook : (t -> unit) ref = ref (fun _ -> ())
+(* ---------- boot-region blob ---------- *)
+
+let encode_boot t =
+  let buf = Buffer.create 512 in
+  Varint.write buf 1;
+  let frontier = Allocator.encode_persisted t.alloc in
+  Varint.write buf (String.length frontier);
+  Buffer.add_string buf frontier;
+  Varint.write buf t.next_segment_id;
+  Varint.write buf t.medium_next_id;
+  Varint.write_i64 buf (Seqno.current t.seqno);
+  Varint.write_i64 buf t.checkpoint_seq;
+  Varint.write buf (List.length t.checkpoint_dir);
+  List.iter
+    (fun (name, ranges, chunks) ->
+      Varint.write buf (String.length name);
+      Buffer.add_string buf name;
+      Varint.write buf (String.length ranges);
+      Buffer.add_string buf ranges;
+      Varint.write buf (List.length chunks);
+      List.iter
+        (fun (meta, off, len) ->
+          Varint.write buf (String.length meta);
+          Buffer.add_string buf meta;
+          Varint.write buf off;
+          Varint.write buf len)
+        chunks)
+    t.checkpoint_dir;
+  Buffer.contents buf
+
+(* Rewrite the boot region when the allocator's persisted sets changed
+   (fire-and-forget; frontier refills run well before the fresh AUs are
+   written, so the window between refill and durability is tiny — see
+   DESIGN.md). *)
+let maybe_persist_boot t =
+  (* a dead controller must never clobber the live one's boot region *)
+  let gen = Allocator.persist_generation t.alloc in
+  if t.online && gen <> t.boot_generation_written then begin
+    t.boot_generation_written <- gen;
+    t.medium_next_id <- max t.medium_next_id (Medium.peek_next_id t.medium_table);
+    Boot_region.write t.boot (encode_boot t) (fun () -> ())
+  end
 
 (* Reserve a single replacement AU on a healthy drive (for segio member
    remaps), erasing any stale contents before use. *)
@@ -481,10 +487,9 @@ let[@purity.lint.coldpath] open_fresh_writer t =
     let w = Writer.create ~layout:t.layout ~shelf:t.shelf ~rs:t.rs ~members ~id in
     t.open_writer <- Some w;
     Hashtbl.replace t.unflushed id w;
-    publish_control_view t;
     (* a refill may have changed the persisted frontier: rewrite the
        boot region before this segment accumulates log records *)
-    !boot_persist_hook t;
+    maybe_persist_boot t;
     w
 
 (* Open (allocating if needed) a segment writer with room for [need] more
@@ -526,8 +531,7 @@ and[@purity.lint.coldpath] seal_current t =
     if Writer.is_empty w then begin
       (* never written: hand the AUs back *)
       Hashtbl.remove t.unflushed (Writer.id w);
-      Allocator.release t.alloc (Writer.members w);
-      publish_control_view t
+      Allocator.release t.alloc (Writer.members w)
     end
     else begin
       (* Members whose drive failed since allocation are remapped to fresh
@@ -554,8 +558,7 @@ and[@purity.lint.coldpath] seal_current t =
       let seal_seq = t.last_applied_intent in
       Queue.add (Writer.id w, seal_seq) t.flushes_in_order;
       t.pending_flush_count <- t.pending_flush_count + 1;
-      publish_control_view t;
-      Queue.add w t.flush_queue;
+        Queue.add w t.flush_queue;
       pump_flush t
     end
 
@@ -605,8 +608,7 @@ and pump_flush t =
           | _ -> continue := false
         done;
         t.pending_flush_count <- t.pending_flush_count - 1;
-        publish_control_view t;
-        t.flush_active <- false;
+            t.flush_active <- false;
         pump_flush t;
         if t.pending_flush_count = 0 then begin
           (* stored newest-first; fired as stored (see when_flushed) *)
@@ -896,35 +898,7 @@ let when_flushed t k =
   if t.pending_flush_count = 0 then Clock.schedule t.clock ~delay:0.0 k
   else t.flush_waiters <- k :: t.flush_waiters
 
-(* ---------- boot-region blob ---------- *)
-
-let encode_boot t =
-  let buf = Buffer.create 512 in
-  Varint.write buf 1;
-  let frontier = Allocator.encode_persisted t.alloc in
-  Varint.write buf (String.length frontier);
-  Buffer.add_string buf frontier;
-  Varint.write buf t.next_segment_id;
-  Varint.write buf t.medium_next_id;
-  Varint.write_i64 buf (Seqno.current t.seqno);
-  Varint.write_i64 buf t.checkpoint_seq;
-  Varint.write buf (List.length t.checkpoint_dir);
-  List.iter
-    (fun (name, ranges, chunks) ->
-      Varint.write buf (String.length name);
-      Buffer.add_string buf name;
-      Varint.write buf (String.length ranges);
-      Buffer.add_string buf ranges;
-      Varint.write buf (List.length chunks);
-      List.iter
-        (fun (meta, off, len) ->
-          Varint.write buf (String.length meta);
-          Buffer.add_string buf meta;
-          Varint.write buf off;
-          Varint.write buf len)
-        chunks)
-    t.checkpoint_dir;
-  Buffer.contents buf
+(* ---------- boot-region blob decoding ---------- *)
 
 type boot_blob = {
   bb_frontier : string;
@@ -978,28 +952,12 @@ let decode_boot s =
     bb_dir = dir;
   }
 
-(* Rewrite the boot region when the allocator's persisted sets changed
-   (fire-and-forget; frontier refills run well before the fresh AUs are
-   written, so the window between refill and durability is tiny — see
-   DESIGN.md). *)
-let maybe_persist_boot t =
-  (* a dead controller must never clobber the live one's boot region *)
-  let gen = Allocator.persist_generation t.alloc in
-  if t.online && gen <> t.boot_generation_written then begin
-    t.boot_generation_written <- gen;
-    t.medium_next_id <- max t.medium_next_id (Medium.peek_next_id t.medium_table);
-    Boot_region.write t.boot (encode_boot t) (fun () -> ())
-  end
-
-let () = boot_persist_hook := maybe_persist_boot
-
 (* Controller death: stop every in-flight flush and queued segio. Called
    by Flash_array.crash after clearing [online]. *)
 let halt_device_activity t =
   Hashtbl.iter (fun _ w -> Writer.abort w) t.unflushed;
   Queue.clear t.flush_queue;
-  t.flush_active <- false;
-  publish_control_view t
+  t.flush_active <- false
 
 (* Paper 4.3: "the primary controller asynchronously warms the cache of
    the secondary". At failover the spare therefore starts with (most of)

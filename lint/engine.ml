@@ -363,7 +363,7 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
         (Printf.sprintf
            "%s outside the audited multicore modules; cross-domain shared \
             mutable state breaks deterministic replay — go through \
-            Purity_par.Pool/Epoch or audit this module in the lint config"
+            Purity_par.Pool or audit this module in the lint config"
            name)
     else begin
       if recovery && Rules.partial_violation name then

@@ -10,7 +10,7 @@
      mutable value ([Mut_global] site) — reported with the call-chain
      witness from the closure to the touching def.
 
-   The walk stops at the audited multicore modules (pool.ml, epoch.ml,
+   The walk stops at the audited multicore modules (pool.ml,
    kernel_stats.ml, registry.ml): their cross-domain state is the
    reviewed implementation, e.g. the shadow kernel counters each worker
    drains into its own lane. A site inside an audited file is not an

@@ -28,12 +28,11 @@ let rule_name = function
   | Waiver -> "waiver"
 
 (* [Waiver] is deliberately absent: stale-waiver errors cannot themselves
-   be waived or baselined away. "domain" is accepted as a legacy alias of
-   the escape rule that subsumed it. *)
+   be waived or baselined away. *)
 let rule_of_name = function
   | "determinism" -> Some Determinism
   | "unsafe" -> Some Unsafe
-  | "escape" | "domain" -> Some Escape
+  | "escape" -> Some Escape
   | "hotpath" -> Some Hotpath
   | "hotalloc" -> Some Hotalloc
   | "partial" -> Some Partial

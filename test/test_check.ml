@@ -2,13 +2,15 @@
    it exists to catch. The reference model is fed deliberately wrong
    observations (a lost write, wrong bytes, a thawed snapshot); the
    shrinker is driven by a synthetic failure predicate and must converge
-   to the minimal trace; and a deliberately planted recovery bug —
-   skipping NVRAM replay — must be caught by the same smoke sweep that
-   gates tier-1, with a reproducing seed and a shrunk trace. *)
+   to the minimal trace; a system whose replay is nondeterministic must
+   fail its seed; and a deliberately planted recovery bug — skipping
+   NVRAM replay — must be caught by the same smoke sweep that gates
+   tier-1, with a reproducing seed and a shrunk trace. *)
 
 module Model = Purity_check.Model
 module Plan = Purity_check.Plan
 module Runner = Purity_check.Runner
+module Scenario = Purity_check.Scenario
 module Recovery = Purity_core.Recovery
 
 let check = Alcotest.check
@@ -123,11 +125,50 @@ let test_shrink_converges () =
 
 let test_per_seed_determinism () =
   let plan = Plan.generate 31337L in
-  let r1 = Runner.run_plan plan in
-  let r2 = Runner.run_plan plan in
-  check bool "same plan, same outcome" true (r1 = r2);
+  (match (Runner.run_plan plan, Runner.run_plan plan) with
+  | Ok d1, Ok d2 -> check int "same plan, same execution digest" d1 d2
+  | _ -> Alcotest.fail "seed 31337 should run clean");
   let plan' = Plan.generate 31337L in
   check bool "same seed, same plan" true (plan = plan')
+
+(* A toy system whose digest reads a counter that outlives each run, so
+   no two executions of a plan agree: the framework must fail the seed. *)
+let leaked = ref 0
+
+module Leaky = Scenario.Make (struct
+  type op = unit
+  type fault = unit
+  type t = int64 * (unit, unit) Scenario.event list
+  type gen_config = unit
+  type config = unit
+  type ctx = unit
+
+  let kind = "leaky"
+  let default_gen = ()
+  let default_config = ()
+  let generate ?cfg:_ seed = (seed, [ Scenario.Op (); Scenario.Fault () ])
+  let seed = fst
+  let events = snd
+  let with_events (seed, _) events = (seed, events)
+  let pp ppf (seed, events) = Format.fprintf ppf "seed %Ld, %d events" seed (List.length events)
+  let setup () _ = ()
+  let exec_event () _ = ()
+  let audit () = ()
+
+  let digest () =
+    incr leaked;
+    !leaked
+end)
+
+let test_nondeterministic_replay_is_caught () =
+  match Leaky.check_seed 9L with
+  | Ok () -> Alcotest.fail "a run-to-run digest difference passed check_seed"
+  | Error r ->
+    check bool
+      (Printf.sprintf "violation names the replay (%s)" r.Leaky.violation)
+      true
+      (contains r.Leaky.violation "nondeterministic replay");
+    check bool "report names the seed" true (contains (Leaky.report_to_string r) "seed 9")
 
 (* ---------- the harness catches a planted recovery bug ---------- *)
 
@@ -176,6 +217,8 @@ let () =
         [
           Alcotest.test_case "shrinking converges" `Quick test_shrink_converges;
           Alcotest.test_case "per-seed determinism" `Quick test_per_seed_determinism;
+          Alcotest.test_case "nondeterministic replay is caught" `Quick
+            test_nondeterministic_replay_is_caught;
           Alcotest.test_case "planted recovery bug is caught" `Quick
             test_planted_bug_is_caught;
         ] );

@@ -1,7 +1,7 @@
 (* Whole-system fault injection, on top of purity.check.
 
-   Random scenarios come from [Plan.generate] and are executed by
-   [Runner.run_plan] against the reference model; directed scenarios are
+   Random scenarios come from [Plan.generate] and are checked by
+   [Runner.check_seed] against the reference model; directed scenarios are
    hand-written event lists covering the multi-fault orderings the RAID
    literature calls out: a crash landing mid-GC, a second drive dropping
    out during a rebuild, NVRAM content loss just before (and just
@@ -23,27 +23,10 @@ let bool = Alcotest.bool
 
 (* Run a hand-built plan; on violation, shrink and fail with the full
    report so the trace lands in the test output. *)
-let expect_clean ?config (plan : Plan.t) =
-  match Runner.run_plan ?config plan with
+let expect_clean plan =
+  match Runner.check_plan plan with
   | Ok () -> ()
-  | Error failure ->
-    let fails evs =
-      match Runner.run_plan ?config { plan with Plan.events = evs } with
-      | Ok () -> None
-      | Error f -> Some f
-    in
-    let trace, (step, violation) =
-      Runner.shrink ~fails plan.Plan.events failure
-    in
-    Alcotest.failf "%s"
-      (Runner.report_to_string
-         {
-           Runner.seed = plan.Plan.seed;
-           step;
-           violation;
-           trace;
-           original_events = List.length plan.Plan.events;
-         })
+  | Error r -> Alcotest.failf "%s" (Runner.report_to_string r)
 
 let run_seed ?gen seed () =
   match Runner.check_seed ?gen seed with
@@ -312,26 +295,10 @@ let test_lineage_property () =
 module Ac_plan = Purity_check.Ac_plan
 module Ac_runner = Purity_check.Ac_runner
 
-let expect_ac_clean (plan : Ac_plan.t) =
-  match Ac_runner.run_plan plan with
-  | Ok _ -> ()
-  | Error failure ->
-    let fails evs =
-      match Ac_runner.run_plan { plan with Ac_plan.events = evs } with
-      | Ok _ -> None
-      | Error f -> Some f
-    in
-    let trace, (step, violation) = Runner.shrink ~fails plan.Ac_plan.events failure in
-    Alcotest.failf "%s"
-      (Ac_runner.report_to_string
-         {
-           Ac_runner.seed = plan.Ac_plan.seed;
-           step;
-           violation;
-           vols = plan.Ac_plan.vols;
-           trace;
-           original_events = List.length plan.Ac_plan.events;
-         })
+let expect_ac_clean plan =
+  match Ac_runner.check_plan plan with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "%s" (Ac_runner.report_to_string r)
 
 let aw ~side ~wid block nblocks =
   Ac_plan.Op (Ac_plan.Write { side; view = "p0"; block; nblocks; wid })

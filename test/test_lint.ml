@@ -237,17 +237,6 @@ let test_baseline_rejects_unwaivable () =
   Alcotest.(check int) "waiver rule cannot be baselined" 0 (List.length entries);
   Alcotest.(check int) "malformed entry reported" 1 (List.length errors)
 
-let test_baseline_legacy_domain_alias () =
-  let entries, errors =
-    Lint.Baseline.parse ~path:"baseline.txt" [ "domain lib/foo.ml -- legacy" ]
-  in
-  Alcotest.(check int) "domain parses as escape" 0 (List.length errors);
-  match entries with
-  | [ e ] ->
-    Alcotest.(check string) "aliased to escape" "escape"
-      (Lint.Finding.rule_name e.Lint.Baseline.b_rule)
-  | _ -> Alcotest.fail "expected one entry"
-
 (* ---- stale-baseline hardening + driver-level runs ---- *)
 
 let fixture_cmts names = List.map cmt_for names
@@ -324,7 +313,6 @@ let () =
         [
           Alcotest.test_case "apply + stale" `Quick test_baseline_apply;
           Alcotest.test_case "unwaivable rules rejected" `Quick test_baseline_rejects_unwaivable;
-          Alcotest.test_case "legacy domain alias" `Quick test_baseline_legacy_domain_alias;
           Alcotest.test_case "stale-baseline flag" `Quick test_stale_baseline_flag;
           Alcotest.test_case "digest cache" `Quick test_cache;
         ] );

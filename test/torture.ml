@@ -3,8 +3,10 @@
    or `dune build @torture`. Exit status 1 on the first violation, with a
    report that prints the seed and the shrunk reproducing trace.
 
-   Two suites share the binary:
+   Two suites share the binary, both instances of Purity_check.Scenario,
+   so every seed runs twice and must give identical execution digests:
    - [array]: single-array crash/recovery plans (Runner/Plan);
+     `dune build @torture-array` runs the seeds 1000..1199 CI gates on;
    - [ac]: stretched-pod ActiveCluster plans — partitions, mediator
      loss, straddling writes, simultaneous crashes — audited by the
      two-array model (Ac_runner/Ac_plan). `dune build @torture-ac` runs
@@ -32,16 +34,16 @@ let () =
   in
   Arg.parse spec (fun _ -> ()) "torture [-suite array|ac|all] [-base N] [-count N] [-steps N]";
   let failed = ref false in
-  let sweep name ~check =
+  (* [check] is a Scenario instance's check_seed: double execution,
+     shrinking, one report per failure *)
+  let sweep name check report_to_string =
     let t0 = Unix.gettimeofday () in
     (try
        for i = 0 to !count - 1 do
-         let seed = Int64.add !base (Int64.of_int i) in
-         (match check seed with
+         (match check (Int64.add !base (Int64.of_int i)) with
          | Ok () -> ()
-         | Error report_text ->
-           print_string report_text;
-           print_newline ();
+         | Error report ->
+           print_endline (report_to_string report);
            failed := true;
            raise Exit);
          if (i + 1) mod 100 = 0 then
@@ -53,29 +55,17 @@ let () =
       Format.printf "torture[%s]: %d scenarios clean in %.1fs@." name !count
         (Unix.gettimeofday () -. t0)
   in
-  let array_sweep () =
-    let gen =
-      if !steps = 0 then Plan.default_gen else { Plan.default_gen with Plan.steps = !steps }
-    in
-    sweep "array" ~check:(fun seed ->
-        match Runner.check_seed ~gen seed with
-        | Ok () -> Ok ()
-        | Error report -> Error (Format.asprintf "%a" Runner.pp_report report))
+  let n = !steps in
+  let gen = if n = 0 then Plan.default_gen else { Plan.default_gen with Plan.steps = n } in
+  let ac_gen =
+    if n = 0 then Ac_plan.default_gen else { Ac_plan.default_gen with Ac_plan.steps = n }
   in
-  let ac_sweep () =
-    let gen =
-      if !steps = 0 then Ac_plan.default_gen
-      else { Ac_plan.default_gen with Ac_plan.steps = !steps }
-    in
-    sweep "ac" ~check:(fun seed ->
-        match Ac_runner.check_seed ~gen seed with
-        | Ok () -> Ok ()
-        | Error report -> Error (Ac_runner.report_to_string report))
-  in
+  let array () = sweep "array" (fun s -> Runner.check_seed ~gen s) Runner.report_to_string in
+  let ac () = sweep "ac" (fun s -> Ac_runner.check_seed ~gen:ac_gen s) Ac_runner.report_to_string in
   (match !suite with
-  | "ac" -> ac_sweep ()
+  | "ac" -> ac ()
   | "all" ->
-    array_sweep ();
-    if not !failed then ac_sweep ()
-  | _ -> array_sweep ());
+    array ();
+    if not !failed then ac ()
+  | _ -> array ());
   if !failed then exit 1
