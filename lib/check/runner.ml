@@ -66,7 +66,7 @@ let residual_corrupt_units ctx =
 let apply_fault ctx (fault : Plan.fault) =
   match fault with
   | Plan.Lose_nvram ->
-    Nvram.lose (Shelf.nvram (Fa.shelf ctx.arr));
+    Fa.lose_nvram ctx.arr;
     Model.nvram_lost ctx.model;
     ctx.losses <- ctx.losses + 1
   | Plan.Crash mode ->

@@ -160,13 +160,13 @@ module Make (S : SYSTEM) = struct
     | Error failure -> Error (shrunk ?config plan failure)
 
   (* Generate the seed's plan and run it twice: it must pass both times
-     with identical execution digests. *)
+     with identical execution digests; [Ok digest] then. *)
   let check_seed ?(gen = S.default_gen) ?config ?shrink_budget seed =
     let plan = S.generate ~cfg:gen seed in
     let run () = run_plan ?config plan in
-    match Result.bind (run ()) (fun d1 -> Result.map (( = ) d1) (run ())) with
-    | Ok true -> Ok ()
-    | Ok false ->
+    match Result.bind (run ()) (fun d1 -> Result.map (fun d2 -> (d1, d1 = d2)) (run ())) with
+    | Ok (d, true) -> Ok d
+    | Ok (_, false) ->
       let evs = S.events plan in
       let violation = "nondeterministic replay: execution digests differ" in
       Error (report plan (evs, (List.length evs, violation)))
@@ -179,7 +179,7 @@ module Make (S : SYSTEM) = struct
       else
         let seed = Int64.add base (Int64.of_int i) in
         match check_seed ?gen ?config ?shrink_budget seed with
-        | Ok () -> go (i + 1)
+        | Ok _ -> go (i + 1)
         | Error report -> Some report
     in
     go 0

@@ -110,19 +110,9 @@ let run t k =
               (* previous checkpoint's segments are now garbage *)
               List.iter
                 (fun seg_id ->
-                  match Hashtbl.find_opt t.segment_metas seg_id with
-                  | None -> ()
-                  | Some meta ->
-                    Hashtbl.remove t.segment_metas seg_id;
-                    ignore (put_delete t t.segments_pyr ~key:(Keys.segment_key seg_id));
-                    Array.iter
-                      (fun (m : Segment.member) ->
-                        let d = Shelf.drive t.shelf m.Segment.drive in
-                        if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
-                      meta.Segment.members;
-                    Allocator.release t.alloc meta.Segment.members)
-                (List.filter (fun s -> not (List.mem s t.checkpoint_segments)) old_ckpt);
-              t.writes_since_checkpoint <- 0;
+                  if not (List.mem seg_id t.checkpoint_segments) then
+                    ignore (release_segment t seg_id))
+                old_ckpt;
               let segments_used = t.next_segment_id - first_ckpt_segment in
               k
                 {

@@ -10,11 +10,9 @@ type config = State.config = {
   memtable_flush : int;
   read_around_write : bool;
   p95_backup : bool;
-  max_segment_writers : int;
   inline_dedup : bool;
   compression : bool;
   dedup_config : Purity_dedup.Dedup.config;
-  checkpoint_every_writes : int;
   read_cache_entries : int;
   map_cache_entries : int;
   secondary_warming : bool;
@@ -35,6 +33,24 @@ type t = {
   created_at : float;
 }
 
+(* Array-level values, each computed in one place: the registry's
+   derived metrics and [stats] both read them. *)
+let live_logical_bytes st = Pyramid.live_key_count st.blocks * block_size
+let physical_bytes_used st = Allocator.used_au_count st.alloc * st.cfg.drive_config.Drive.au_size
+
+let provisioned_bytes st =
+  State.Stbl.fold (fun _ (v : State.volume) acc -> acc + (v.State.blocks * block_size)) st.volumes 0
+
+let data_reduction ~live_logical ~physical_used =
+  if physical_used = 0 then 1.0 else float_of_int live_logical /. float_of_int physical_used
+
+let availability t =
+  let elapsed = Clock.now t.clk -. t.created_at in
+  let down =
+    t.total_downtime +. (match t.crash_time with Some at -> Clock.now t.clk -. at | None -> 0.0)
+  in
+  if elapsed <= 0.0 then 1.0 else (elapsed -. down) /. elapsed
+
 (* Array-level derived metrics. Registered against the *current*
    controller's registry — re-run after every failover, since the spare
    boots with a fresh namespace (path counters reset, exactly as before
@@ -44,27 +60,15 @@ let register_array_telemetry t =
   Registry.derive_int reg "array/app_reads" (fun () -> t.app_reads);
   Registry.derive_int reg "array/boot_region_writes" (fun () ->
       Boot_region.writes t.st.boot);
-  Registry.derive_int reg "array/physical_bytes_used" (fun () ->
-      Allocator.used_au_count t.st.alloc * t.st.cfg.drive_config.Drive.au_size);
+  Registry.derive_int reg "array/physical_bytes_used" (fun () -> physical_bytes_used t.st);
   Registry.derive_int reg "array/physical_capacity" (fun () ->
       Shelf.physical_bytes t.st.shelf);
-  Registry.derive_int reg "array/live_logical_bytes" (fun () ->
-      Pyramid.live_key_count t.st.blocks * block_size);
-  Registry.derive_int reg "array/provisioned_bytes" (fun () ->
-      State.Stbl.fold
-        (fun _ (v : State.volume) acc -> acc + (v.State.blocks * block_size))
-        t.st.volumes 0);
+  Registry.derive_int reg "array/live_logical_bytes" (fun () -> live_logical_bytes t.st);
+  Registry.derive_int reg "array/provisioned_bytes" (fun () -> provisioned_bytes t.st);
   Registry.derive_float reg "array/data_reduction" (fun () ->
-      let used = Allocator.used_au_count t.st.alloc * t.st.cfg.drive_config.Drive.au_size in
-      if used = 0 then 1.0
-      else float_of_int (Pyramid.live_key_count t.st.blocks * block_size) /. float_of_int used);
-  Registry.derive_float reg "array/availability" (fun () ->
-      let elapsed = Clock.now t.clk -. t.created_at in
-      let down =
-        t.total_downtime
-        +. (match t.crash_time with Some at -> Clock.now t.clk -. at | None -> 0.0)
-      in
-      if elapsed <= 0.0 then 1.0 else (elapsed -. down) /. elapsed)
+      data_reduction ~live_logical:(live_logical_bytes t.st)
+        ~physical_used:(physical_bytes_used t.st));
+  Registry.derive_float reg "array/availability" (fun () -> availability t)
 
 let create ?(config = default_config) ~clock () =
   let t =
@@ -245,11 +249,6 @@ let write t ~volume ~block data k =
   else
     Write_path.write t.st ~volume ~block data (fun r ->
         maybe_persist_boot t.st;
-        (match (r, t.st.cfg.checkpoint_every_writes) with
-        | Ok (), n when n > 0 && t.st.writes_since_checkpoint >= n ->
-          t.st.writes_since_checkpoint <- 0;
-          Checkpoint.run t.st (fun _ -> ())
-        | _ -> ());
         k (r :> (unit, write_error) result))
 
 let read t ~volume ~block ~nblocks k =
@@ -282,44 +281,7 @@ let inject_page_corruption t ~drive ~au ~page =
 let lose_nvram t = Nvram.lose (Shelf.nvram t.st.shelf)
 let set_read_fault t f = Io.set_fault t.st.io f
 
-let rebuild_drive t drive k =
-  let st = t.st in
-  (* flush the open segio first so every segment touching the drive is a
-     sealed, relocatable victim *)
-  (try seal_current st with Out_of_space -> ());
-  when_flushed st (fun () ->
-  let victims =
-    Hashtbl.fold
-      (fun id (meta : Segment.t) acc ->
-        let touches =
-          Array.exists (fun (m : Segment.member) -> m.Segment.drive = drive) meta.Segment.members
-        in
-        if touches then id :: acc else acc)
-      st.segment_metas []
-  in
-  let live = Gc.liveness st in
-  let content_cache = Purity_util.Keytbl.I64.create 16 in
-  let counters = (ref 0, ref 0, ref 0) in
-  let released = ref [] in
-  let rec go = function
-    | [] ->
-      (try seal_current st with Out_of_space -> ());
-      when_flushed st (fun () ->
-          match !released with
-          | [] -> k 0
-          | _ :: _ ->
-            (* as in GC and scrub: a checkpoint must cover the victims'
-               log records before their headers are destroyed *)
-            Checkpoint.run st (fun _ckpt ->
-                List.iter (Gc.release_segment st) !released;
-                maybe_persist_boot st;
-                k (List.length !released)))
-    | seg :: rest ->
-      Gc.relocate_segment st ~live ~content_cache ~counters seg (fun ok ->
-          if ok then released := seg :: !released;
-          go rest)
-  in
-  go victims)
+let rebuild_drive t drive k = Gc.rebuild_drive t.st drive k
 
 let crash t =
   t.st.online <- false;
@@ -371,20 +333,7 @@ type stats = {
 
 let stats t =
   let st = t.st in
-  let au = st.cfg.drive_config.Drive.au_size in
-  let live_logical = Pyramid.live_key_count st.blocks * block_size in
-  let physical_used = Allocator.used_au_count st.alloc * au in
-  let capacity = Shelf.physical_bytes st.shelf in
-  let provisioned =
-    State.Stbl.fold
-      (fun _ (v : State.volume) acc -> acc + (v.State.blocks * block_size))
-      st.volumes 0
-  in
-  let elapsed = Clock.now t.clk -. t.created_at in
-  let down =
-    t.total_downtime
-    +. (match t.crash_time with Some at -> Clock.now t.clk -. at | None -> 0.0)
-  in
+  let live_logical = live_logical_bytes st and physical_used = physical_bytes_used st in
   (* the path counters live in the telemetry registry now; [stats] reads
      them back through their handles, so both views always agree *)
   {
@@ -394,11 +343,9 @@ let stats t =
     stored_bytes_written = Registry.value st.ws.stored_bytes;
     live_logical_bytes = live_logical;
     physical_bytes_used = physical_used;
-    physical_capacity = capacity;
-    data_reduction =
-      (if physical_used = 0 then 1.0
-       else float_of_int live_logical /. float_of_int physical_used);
-    provisioned_virtual_bytes = provisioned;
+    physical_capacity = Shelf.physical_bytes st.shelf;
+    data_reduction = data_reduction ~live_logical ~physical_used;
+    provisioned_virtual_bytes = provisioned_bytes st;
     dedup_blocks = Registry.value st.ws.dedup_blocks;
     gc_dedup_blocks = Registry.value st.ws.gc_dedup_blocks;
     write_latency = st.write_lat;
@@ -406,7 +353,7 @@ let stats t =
     io = Io.stats st.io;
     boot_region_writes = Boot_region.writes st.boot;
     segments_live = Hashtbl.length st.segment_metas;
-    availability = (if elapsed <= 0.0 then 1.0 else (elapsed -. down) /. elapsed);
+    availability = availability t;
     cache_hits = Registry.value st.ws.cache_hits;
     cache_misses = Registry.value st.ws.cache_misses;
   }

@@ -35,11 +35,9 @@ type config = State.config = {
   memtable_flush : int;
   read_around_write : bool;  (** §4.4 scheduling (E6 ablation switch) *)
   p95_backup : bool;  (** hedged reads at the observed p95 *)
-  max_segment_writers : int;  (** concurrent programming drives per segio *)
   inline_dedup : bool;
   compression : bool;
   dedup_config : Purity_dedup.Dedup.config;
-  checkpoint_every_writes : int;  (** 0 = checkpoint manually *)
   read_cache_entries : int;
       (** cblock frames cached in controller DRAM (0 disables) *)
   map_cache_entries : int;

@@ -1,22 +1,34 @@
-(* The garbage collector (paper §4.5, §4.7, §4.10):
+(* Segment evacuation and the garbage collector (paper §4.5, §4.7,
+   §4.10, §5.1). GC, scrub and drive rebuild are one operation: relocate
+   a segment's live cblocks, checkpoint, then release the segment. They
+   differ only in how they pick victims.
 
    - exact liveness scan of the block index (the paper keeps approximate
      counters and "fixes them up by issuing additional reads at runtime";
      the scan is those reads);
-   - victim selection: live segments with the highest dead ratio
-     (unordered log-structured cleaning);
    - relocation of live cblocks into the current segio, collapsing
      byte-identical cblocks on the way (the background dedup pass);
-   - medium-tree flattening via shortcuts so reads stay within the
-     three-cblock bound;
-   - pyramid compaction, which is where elided facts actually vanish;
-   - victims' AUs trimmed and returned to the allocator only after the
-     relocated data has reached the drives. *)
+   - victims' AUs trimmed and returned to the allocator only after a
+     checkpoint covers the relocated data and the victims' log records.
+
+   GC picks the live segments with the highest dead ratio (unordered
+   log-structured cleaning) and flattens medium trees via shortcuts so
+   reads stay within the three-cblock bound; drive rebuild picks every
+   segment with a member on the drive; scrub (scrub.ml) picks segments
+   with corrupt pages. *)
 
 open State
 module I64tbl = Purity_util.Keytbl.I64
 module Inttbl = Purity_util.Keytbl.Int
 module Xxhash = Purity_util.Xxhash
+
+(* The running totals of one evacuation. *)
+type tally = {
+  mutable relocated_cblocks : int;
+  mutable relocated_bytes : int;
+  mutable dedup_hits : int;
+  mutable shared_cblocks : int;
+}
 
 type report = {
   victims : int list;
@@ -25,10 +37,10 @@ type report = {
   reclaimed_bytes : int;
   gc_dedup_hits : int;
   shared_cblocks : int;
-      (* cblocks with more references than logical blocks, segregated into
-         their own segments (paper 4.7: multiply-referenced blocks are
-         less likely to die, so mixing them with ordinary data would make
-         future segments harder to clean) *)
+      (* cblocks with more references than logical blocks (paper 4.7:
+         multiply-referenced blocks are less likely to die). Each victim
+         relocates its shared cblocks before its other ones, so they land
+         next to each other; there is no separate segment for them. *)
   duration_us : float;
 }
 
@@ -84,27 +96,23 @@ let cblock_refs live (seg_id : int) =
 
 let is_shared (stored_len, refs) = List.length !refs > max 1 (stored_len / 512)
 
-(* Relocate every live cblock of one segment; calls [k true] when every
-   live cblock was moved (data durability is the caller's seal+flush),
-   [k false] if any read failed — the victim must then be kept alive, or
-   the surviving references would dangle.
+(* Relocate every live cblock of one segment, shared cblocks first;
+   calls [k true] when every live cblock was moved (data durability is
+   the caller's seal+flush), [k false] if any read failed — the victim
+   must then be kept alive, or the surviving references would dangle.
 
    A block overwritten after the scan (while its cblock's read was in
    flight, say) keeps its new mapping: only references with no fact newer
    than the scan are re-pointed. A merge drops a newer block fact only
    when its medium is elided, which retracts the re-pointed fact too. *)
-let relocate_segment t ~live ~content_cache ~counters (seg_id : int) k =
+let relocate_segment t ~live ~content_cache (tally : tally) (seg_id : int) k =
   match Hashtbl.find_opt t.segment_metas seg_id with
   | None -> k true
   | Some meta ->
     let per_seg = cblock_refs live seg_id in
-    (* shared first: a cblock with more references than ~logical blocks is
-       deduplicated; segregating the phases clusters such cblocks together
-       (the caller seals between phases across victims) *)
     let entries = Inttbl.fold (fun off v acc -> (off, v) :: acc) per_seg [] in
     let shared, plain = List.partition (fun (_, v) -> is_shared v) entries in
-    let entries = shared @ plain in
-    let relocated, rel_bytes, dedup_hits = counters in
+    tally.shared_cblocks <- tally.shared_cblocks + List.length shared;
     let all_ok = ref true in
     let rec go = function
       | [] -> k !all_ok
@@ -133,7 +141,7 @@ let relocate_segment t ~live ~content_cache ~counters (seg_id : int) k =
                   let base =
                     match I64tbl.find_opt content_cache fingerprint with
                     | Some (base, cached) when String.equal cached data ->
-                      incr dedup_hits;
+                      tally.dedup_hits <- tally.dedup_hits + 1;
                       Registry.incr t.ws.gc_dedup_blocks;
                       base
                     | _ ->
@@ -142,8 +150,8 @@ let relocate_segment t ~live ~content_cache ~counters (seg_id : int) k =
                         { Blockref.segment; off = new_off; stored_len; index = 0 }
                       in
                       I64tbl.replace content_cache fingerprint (base, data);
-                      incr relocated;
-                      rel_bytes := !rel_bytes + stored_len;
+                      tally.relocated_cblocks <- tally.relocated_cblocks + 1;
+                      tally.relocated_bytes <- tally.relocated_bytes + stored_len;
                       base
                   in
                   List.iter
@@ -153,31 +161,52 @@ let relocate_segment t ~live ~content_cache ~counters (seg_id : int) k =
                 with Out_of_space -> all_ok := false)));
             go rest)
     in
-    go entries
+    go (shared @ plain)
 
-let release_segment t seg_id =
-  match Hashtbl.find_opt t.segment_metas seg_id with
-  | None -> ()
-  | Some meta ->
-    Hashtbl.remove t.segment_metas seg_id;
-    ignore (put_delete t t.segments_pyr ~key:(Keys.segment_key seg_id));
-    Array.iter
-      (fun (m : Segment.member) ->
-        let d = Shelf.drive t.shelf m.Segment.drive in
-        if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
-      meta.Segment.members;
-    Allocator.release t.alloc meta.Segment.members;
-    (* inline-dedup sources living in the victim are gone *)
-    let stale =
-      Hashtbl.fold
-        (fun wid (r : Blockref.t) acc -> if r.Blockref.segment = seg_id then wid :: acc else acc)
-        t.dedup_locs []
-    in
-    List.iter
-      (fun wid ->
-        Hashtbl.remove t.dedup_locs wid;
-        Dedup.forget t.dedup ~write_id:wid)
-      stale
+(* Relocate the victims in order and call [k tally emptied], [emptied]
+   being the victims whose every live cblock moved, in victim order.
+   Until a victim is released (or kept, after a failed relocation) it is
+   no inline-dedup source: a write deduplicated into it would map into a
+   segment about to be destroyed. *)
+let evacuate t ~live ~victims k =
+  List.iter (fun seg_id -> Hashtbl.replace t.evacuating seg_id ()) victims;
+  let tally : tally =
+    { relocated_cblocks = 0; relocated_bytes = 0; dedup_hits = 0; shared_cblocks = 0 }
+  in
+  let content_cache = I64tbl.create 64 in
+  let rec go emptied = function
+    | [] -> k tally (List.rev emptied)
+    | seg_id :: rest ->
+      relocate_segment t ~live ~content_cache tally seg_id (fun ok ->
+          if ok then go (seg_id :: emptied) rest
+          else begin
+            Hashtbl.remove t.evacuating seg_id;
+            go emptied rest
+          end)
+  in
+  go [] victims
+
+(* The tail every evacuation ends with. Destroying a segment also
+   destroys its header log records, which may hold the only durable copy
+   of metadata facts whose NVRAM records were already trimmed: a
+   checkpoint must cover them (and persist the relocation facts) before
+   the segments go. [k] gets the bytes reclaimed; at a dead controller
+   the checkpoint never completes and neither does [k]. *)
+let release_after_checkpoint t emptied k =
+  Checkpoint.run t (fun _ckpt ->
+      let reclaimed = List.fold_left (fun acc seg_id -> acc + release_segment t seg_id) 0 emptied in
+      maybe_persist_boot t;
+      k reclaimed)
+
+(* Scrub's and rebuild's ending: seal, wait for the relocated data to
+   reach the drives, then checkpoint and release (newest first) only if
+   some victim was emptied. *)
+let settle t emptied k =
+  (try seal_current t with Out_of_space -> ());
+  when_flushed t (fun () ->
+      match emptied with
+      | [] -> k ()
+      | _ :: _ -> release_after_checkpoint t (List.rev emptied) (fun _ -> k ()))
 
 let flatten_mediums t =
   Medium.shortcut t.medium_table ~has_blocks:(fun ~medium ~lo ~hi ->
@@ -218,73 +247,52 @@ let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
     |> List.filteri (fun i _ -> i < max_victims)
     |> List.map fst
   in
-  let content_cache = I64tbl.create 64 in
-  let relocated = ref 0 and rel_bytes = ref 0 and dedup_hits = ref 0 in
-  let counters = (relocated, rel_bytes, dedup_hits) in
-  let releasable = ref [] in
-  (* 4.7 segregation: relocate multiply-referenced cblocks in their own
-     phase, sealing the segio in between, so deduplicated data clusters in
-     dedicated segments *)
-  let shared_count = ref 0 in
-  let rec relocate_all = function
-    | [] ->
-      (* flatten medium trees, then checkpoint: the checkpoint both
-         persists the relocation facts and makes every victim's log
-         records redundant (they are covered by the new patches), so the
-         victims can be destroyed without losing recovery information *)
-      if not t.online then ()
-        (* crash landed between relocation steps; abandon the pass *)
-      else begin
-      flatten_mediums t;
-      Checkpoint.run t (fun _ckpt ->
-          let releasable = List.rev !releasable in
-          let reclaimed =
-            List.fold_left
-              (fun acc seg_id ->
-                match Hashtbl.find_opt t.segment_metas seg_id with
-                | Some meta ->
-                  acc
-                  + (Array.length meta.Segment.members
-                    * t.cfg.drive_config.Drive.au_size)
-                | None -> acc)
-              0 releasable
-          in
-          List.iter (release_segment t) releasable;
-          maybe_persist_boot t;
-          let duration_us = Clock.now t.clock -. start in
-          Registry.incr c_passes;
-          Registry.add c_victims (List.length releasable);
-          Registry.add c_relocated !relocated;
-          Registry.add c_rel_bytes !rel_bytes;
-          Registry.add c_reclaimed reclaimed;
-          Histogram.record h_pass_us duration_us;
-          Span.finish
-            ~tags:
-              [
-                ("victims", string_of_int (List.length releasable));
-                ("relocated", string_of_int !relocated);
-              ]
-            gc_span;
-          k
-            {
-              victims = releasable;
-              relocated_cblocks = !relocated;
-              relocated_bytes = !rel_bytes;
-              reclaimed_bytes = reclaimed;
-              gc_dedup_hits = !dedup_hits;
-              shared_cblocks = !shared_count;
-              duration_us;
-            })
-      end
-    | seg_id :: rest ->
-      relocate_segment t ~live ~content_cache ~counters seg_id (fun ok ->
-          if ok then releasable := seg_id :: !releasable;
-          relocate_all rest)
-  in
-  (* count the shared cblocks for the report (segregation happens inside
-     relocate_segment's two-phase ordering) *)
-  List.iter
-    (fun seg_id ->
-      Inttbl.iter (fun _ v -> if is_shared v then incr shared_count) (cblock_refs live seg_id))
-    victims;
-  relocate_all victims
+  evacuate t ~live ~victims (fun (tally : tally) emptied ->
+      (* a crash landed between relocation steps: abandon the pass *)
+      if t.online then begin
+        flatten_mediums t;
+        release_after_checkpoint t emptied (fun reclaimed ->
+            let duration_us = Clock.now t.clock -. start in
+            Registry.incr c_passes;
+            Registry.add c_victims (List.length emptied);
+            Registry.add c_relocated tally.relocated_cblocks;
+            Registry.add c_rel_bytes tally.relocated_bytes;
+            Registry.add c_reclaimed reclaimed;
+            Histogram.record h_pass_us duration_us;
+            Span.finish
+              ~tags:
+                [
+                  ("victims", string_of_int (List.length emptied));
+                  ("relocated", string_of_int tally.relocated_cblocks);
+                ]
+              gc_span;
+            k
+              {
+                victims = emptied;
+                relocated_cblocks = tally.relocated_cblocks;
+                relocated_bytes = tally.relocated_bytes;
+                reclaimed_bytes = reclaimed;
+                gc_dedup_hits = tally.dedup_hits;
+                shared_cblocks = tally.shared_cblocks;
+                duration_us;
+              })
+      end)
+
+(* Drive rebuild: relocate every segment with a member on [drive],
+   restoring full redundancy; [k] gets the number of segments rebuilt. *)
+let rebuild_drive t drive k =
+  (* flush the open segio first so every segment touching the drive is a
+     sealed, relocatable victim *)
+  (try seal_current t with Out_of_space -> ());
+  when_flushed t (fun () ->
+      let victims =
+        Hashtbl.fold
+          (fun id (meta : Segment.t) acc ->
+            let touches =
+              Array.exists (fun (m : Segment.member) -> m.Segment.drive = drive) meta.Segment.members
+            in
+            if touches then id :: acc else acc)
+          t.segment_metas []
+      in
+      evacuate t ~live:(liveness t) ~victims (fun _tally emptied ->
+          settle t emptied (fun () -> k (List.length emptied))))

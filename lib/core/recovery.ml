@@ -188,7 +188,6 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
   in
   let finish ~cold ~headers ~segments ~log_records ~nvram_records ~ckpt_bytes =
     t.online <- true;
-    t.boot_time <- Clock.now t.clock;
     let duration_us = Clock.now t.clock -. start in
     Registry.incr c_runs;
     Registry.add c_headers headers;

@@ -41,11 +41,9 @@ type config = {
   memtable_flush : int;
   read_around_write : bool;
   p95_backup : bool;
-  max_segment_writers : int;
   inline_dedup : bool;
   compression : bool;
   dedup_config : Dedup.config;
-  checkpoint_every_writes : int; (* 0 = manual checkpoints only *)
   read_cache_entries : int; (* cblock frames cached in controller DRAM; 0 = off *)
   map_cache_entries : int; (* logical->blockref mapping cache slots; 0 = off *)
   secondary_warming : bool;
@@ -72,11 +70,9 @@ let default_config =
     memtable_flush = 4096;
     read_around_write = true;
     p95_backup = false;
-    max_segment_writers = 2;
     inline_dedup = true;
     compression = true;
     dedup_config = Dedup.default_config;
-    checkpoint_every_writes = 0;
     read_cache_entries = 4096;
     map_cache_entries = 8192;
     secondary_warming = true;
@@ -169,9 +165,11 @@ type t = {
   unflushed : (int, Writer.t) Hashtbl.t;
       (* segios (open or sealed) whose bytes are not yet on the drives;
          reads of their payload are served from RAM *)
+  evacuating : (int, unit) Hashtbl.t;
+      (* segments an evacuation (GC, scrub, rebuild) is emptying: no
+         inline-dedup source until released or kept *)
   mutable flushes_in_order : (int * int64) Queue.t; (* seg id, seal seq *)
   flushed : (int, unit) Hashtbl.t;
-  mutable writes_since_checkpoint : int;
   mutable last_applied_intent : int64;
       (* highest NVRAM intent fully applied to segios; the safe trim
          watermark when the current segio seals *)
@@ -179,9 +177,9 @@ type t = {
   mutable flush_waiters : (unit -> unit) list;
   flush_queue : Writer.t Queue.t;
       (* sealed segios awaiting flush: flushed one at a time so that at
-         most [max_segment_writers] drives in the whole array are
-         programming simultaneously (the §4.4 discipline that keeps
-         read-around-write amplification near the paper's 1.3x) *)
+         most two drives in the whole array are programming
+         simultaneously (the §4.4 discipline that keeps read-around-write
+         amplification near the paper's 1.3x) *)
   mutable flush_active : bool;
   mutable checkpoint_dir : (string * string * (string * int * int) list) list;
       (* last checkpoint's patch directory: pyramid name, encoded elide
@@ -213,21 +211,17 @@ type t = {
   read_lat : Histogram.t;
   ws : write_stats;
   mutable online : bool;
-  mutable crashed_at : float option;
-  mutable downtime_us : float;
-  mutable boot_time : float;
 }
 
 let blocks_policy = Pyramid.Elide (fun f -> Keys.block_key_medium f.Fact.key)
 let mediums_policy = Pyramid.Elide (fun f -> Keys.medium_key_id f.Fact.key)
 
-let fresh_volatile cfg clock =
+let fresh_volatile cfg =
   let memtable_flush_count = cfg.memtable_flush in
   ( Pyramid.create ~memtable_flush_count ~policy:blocks_policy ~name:"blocks" (),
     Pyramid.create ~memtable_flush_count ~policy:mediums_policy ~name:"mediums" (),
     Pyramid.create ~memtable_flush_count ~policy:Pyramid.Tombstones ~name:"segments" (),
-    Pyramid.create ~memtable_flush_count ~policy:Pyramid.Tombstones ~name:"volumes" (),
-    ignore clock )
+    Pyramid.create ~memtable_flush_count ~policy:Pyramid.Tombstones ~name:"volumes" () )
 
 (* Derived metrics over controller state: sampled at snapshot time, so
    the registry exposes live table sizes without per-mutation recording. *)
@@ -276,7 +270,7 @@ let create_over ~config ~clock ~shelf ~boot () =
     Allocator.create ~layout ~drives:config.drives
       ~aus_per_drive:config.drive_config.Drive.num_aus ()
   in
-  let blocks, mediums_pyr, segments_pyr, volumes_pyr, () = fresh_volatile config clock in
+  let blocks, mediums_pyr, segments_pyr, volumes_pyr = fresh_volatile config in
   (* The controller's metric namespace: a fresh registry per controller
      generation (a failover boots the spare with zeroed path counters,
      exactly as the old per-field ints behaved). *)
@@ -308,9 +302,9 @@ let create_over ~config ~clock ~shelf ~boot () =
     next_segment_id = 1;
     open_writer = None;
     unflushed = Hashtbl.create 8;
+    evacuating = Hashtbl.create 8;
     flushes_in_order = Queue.create ();
     flushed = Hashtbl.create 16;
-    writes_since_checkpoint = 0;
     last_applied_intent = 0L;
     pending_flush_count = 0;
     flush_waiters = [];
@@ -341,9 +335,6 @@ let create_over ~config ~clock ~shelf ~boot () =
         nvram_commit_us = Registry.histogram tel "write_path/nvram_commit_us";
       };
     online = true;
-    crashed_at = None;
-    downtime_us = 0.0;
-    boot_time = Clock.now clock;
     }
   in
   register_derived_telemetry t;
@@ -578,7 +569,7 @@ and pump_flush t =
           ]
         "segio_flush"
     in
-    Writer.finalize w ~max_writers:t.cfg.max_segment_writers ~remap ~tracer:t.tracer
+    Writer.finalize w ~remap ~tracer:t.tracer
       ~parent:flush_span (fun seg ->
         Span.finish flush_span;
         Hashtbl.replace t.segment_metas seg.Segment.id seg;
@@ -737,6 +728,35 @@ let put_elide t pyr ~lo ~hi =
   log_elide t tag ~seq ~lo ~hi;
   stash_elide t tag ~seq ~lo ~hi;
   seq
+
+(* Destroy a segment: the inverse of [open_fresh_writer]. Its meta and
+   segment-table fact go, its AUs are trimmed and handed back to the
+   allocator, and inline-dedup sources living in it are forgotten.
+   Returns the bytes reclaimed. *)
+let release_segment t seg_id =
+  Hashtbl.remove t.evacuating seg_id;
+  match Hashtbl.find_opt t.segment_metas seg_id with
+  | None -> 0
+  | Some meta ->
+    Hashtbl.remove t.segment_metas seg_id;
+    ignore (put_delete t t.segments_pyr ~key:(Keys.segment_key seg_id));
+    Array.iter
+      (fun (m : Segment.member) ->
+        let d = Shelf.drive t.shelf m.Segment.drive in
+        if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
+      meta.Segment.members;
+    Allocator.release t.alloc meta.Segment.members;
+    let stale =
+      Hashtbl.fold
+        (fun wid (r : Blockref.t) acc -> if r.Blockref.segment = seg_id then wid :: acc else acc)
+        t.dedup_locs []
+    in
+    List.iter
+      (fun wid ->
+        Hashtbl.remove t.dedup_locs wid;
+        Dedup.forget t.dedup ~write_id:wid)
+      stale;
+    Array.length meta.Segment.members * t.cfg.drive_config.Drive.au_size
 
 (* Persist the current extent rows of a medium as a fact. *)
 let persist_medium t id =

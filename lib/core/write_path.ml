@@ -110,14 +110,16 @@ let[@purity.lint.allow
 let apply_chunk t ~medium ~first_block data =
   let nblocks = String.length data / block_size in
   let hits = if t.cfg.inline_dedup then Dedup.find_duplicates t.dedup data else [] in
-  (* translate hits whose source cblock still exists; drop the rest *)
+  (* translate hits whose source cblock still exists, outside any segment
+     being evacuated; drop the rest *)
   let hits =
     List.filter_map
       (fun (h : Dedup.hit) ->
         match Hashtbl.find_opt t.dedup_locs h.Dedup.src.Dedup.write_id with
         | Some base
-          when Hashtbl.mem t.segment_metas base.Blockref.segment
-               || Hashtbl.mem t.unflushed base.Blockref.segment ->
+          when (Hashtbl.mem t.segment_metas base.Blockref.segment
+               || Hashtbl.mem t.unflushed base.Blockref.segment)
+               && not (Hashtbl.mem t.evacuating base.Blockref.segment) ->
           Some (h, base)
         | _ -> None)
       hits
@@ -247,7 +249,6 @@ let write t ~volume ~block data k =
                 t.last_applied_intent <- intent_seq;
                 Registry.incr t.ws.app_writes;
                 Registry.add t.ws.logical_bytes len;
-                t.writes_since_checkpoint <- t.writes_since_checkpoint + 1;
                 Histogram.record t.write_lat (Clock.now t.clock -. start);
                 k (Ok ())
               | exception Out_of_space ->

@@ -55,7 +55,6 @@ type t = {
 }
 
 let lanes t = t.lanes
-let is_live t = t.live
 
 (* Static chunking: contiguous [lo, lo+len) per lane, remainder spread
    over the lowest lanes. Pure in (lanes, tasks, lane). *)

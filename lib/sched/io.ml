@@ -55,7 +55,6 @@ let create ~layout ~shelf ~rs ?(read_around_write = true) ?(p95_backup = false) 
 
 let stats t = t.stats
 let reset_stats t = t.stats <- zero_stats
-let read_latencies t = t.latencies
 let set_fault t f = t.fault <- f
 
 let faulted t ~drive =

@@ -60,9 +60,6 @@ val set_fault : t -> (drive:int -> bool) option -> unit
     without touching the drive's own online state. The [purity.check]
     injection point for targeted degraded-read scenarios. *)
 
-val read_latencies : t -> Purity_util.Histogram.t
-(** Completed whole-read latencies in simulated microseconds. *)
-
 val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
 (** Register the scheduler's counters (derived), the computed read
     amplification, and its latency histograms under [sched/...]. *)

@@ -143,8 +143,7 @@ let[@purity.lint.allow
     Purity_par.Pool.map pool ~tasks:rows_used (fun ~lane:_ row -> row_chunks t ~row)
   else Array.init rows_used (fun row -> row_chunks t ~row)
 
-let finalize t ?pool ?(max_writers = 2) ?(remap = fun ~exclude:_ -> None) ?tracer ?parent
-    k =
+let finalize t ?pool ?(remap = fun ~exclude:_ -> None) ?tracer ?parent k =
   if t.sealed then invalid_arg "Writer.finalize: already sealed";
   t.sealed <- true;
   let module Span = Purity_telemetry.Span in
@@ -186,12 +185,13 @@ let finalize t ?pool ?(max_writers = 2) ?(remap = fun ~exclude:_ -> None) ?trace
     List.init rows_used (fun row ->
         (t.layout.Layout.header_size + (row * wu), row_data.(row).(i)))
   in
-  (* Staggered flush: at most [max_writers] members writing at once; each
+  (* Staggered flush: at most two members writing at once; each
      member's chunks go out strictly in order (append-only). A member
      whose drive fails before or during its writes is remapped to a fresh
      AU on a healthy drive and restarted from its header — the shard data
      is all in RAM, so the stripe still reaches full redundancy. With no
      spare drive the member is skipped and parity absorbs it. *)
+  let max_writers = 2 in
   let pending_members = ref nm in
   let queue = Queue.create () in
   for i = 0 to nm - 1 do

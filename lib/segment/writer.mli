@@ -9,7 +9,7 @@
     On {!finalize} the buffer is sealed: log records are packed
     immediately after the data region, per-row Reed–Solomon parity is
     computed, and header + rows are appended to the member AUs. Writes
-    are staggered so that at most [max_writers] member drives program
+    are staggered so that at most two member drives program
     simultaneously — the §4.4 discipline that keeps reconstruct-reads
     possible while a segment flushes. *)
 
@@ -53,7 +53,6 @@ val append_log : t -> seq:int64 -> string -> bool
 val finalize :
   t ->
   ?pool:Purity_par.Pool.t ->
-  ?max_writers:int ->
   ?remap:(exclude:int list -> Segment.member option) ->
   ?tracer:Purity_telemetry.Span.tracer ->
   ?parent:Purity_telemetry.Span.t ->
@@ -68,7 +67,7 @@ val finalize :
     computation and one [program] span per member shard (tagged with its
     final drive), all parented under [parent] so the whole multi-hop
     write is reconstructable from the trace.
-    [max_writers] defaults to 2. A member whose drive is offline (or
+    A member whose drive is offline (or
     fails mid-flush) is re-homed via [remap] — given the drives already
     in the stripe, return a fresh AU on a healthy drive — and its shard
     restarts from the header; with no replacement available the member is

@@ -35,10 +35,6 @@ let exponential t ~mean =
   let u = float t 1.0 in
   -.mean *. log (1.0 -. u)
 
-let pareto t ~shape ~scale =
-  let u = float t 1.0 in
-  scale /. ((1.0 -. u) ** (1.0 /. shape))
-
 (* Zipfian sampling after Gray et al., "Quickly generating billion-record
    synthetic databases"; constants computed per call site would be wasteful,
    so we memoise on (n, theta). *)

@@ -286,7 +286,7 @@ let test_double_crash_full_resync () =
 
 let run_ac_seed seed () =
   match Ac_runner.check_seed seed with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error report -> Alcotest.fail (Ac_runner.report_to_string report)
 
 (* a small in-gate sweep; the full 1..200 range runs under @torture-ac *)

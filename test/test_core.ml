@@ -508,6 +508,57 @@ let test_gc_keeps_overwrite_during_relocation () =
   check bool "overwrite survives crash + failover" true
     (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = fresh)
 
+(* A write landing while GC or a drive rebuild relocates may find its
+   twin through inline dedup in a victim. Evacuating segments are no
+   dedup source: otherwise the fresh mapping would point into a segment
+   the pass then releases. *)
+let test_no_dedup_into_victim () =
+  let case pass =
+    let clock, a = make_array () in
+    ok (Fa.create_volume a "v" ~blocks:1024);
+    let d = random_data 64 in
+    write_ok clock a ~volume:"v" ~block:0 d;
+    for _ = 1 to 6 do
+      write_ok clock a ~volume:"v" ~block:128 (random_data 128)
+    done;
+    ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+    let acked = ref false and reads_issued = ref 0 in
+    Fa.set_read_fault a
+      (Some
+         (fun ~drive:_ ->
+           incr reads_issued;
+           if !reads_issued = 1 then
+             Clock.schedule clock ~delay:0.0 (fun () ->
+                 Fa.write a ~volume:"v" ~block:512 d (fun r ->
+                     ok r;
+                     acked := true));
+           false));
+    check bool "victims emptied" true (await clock (pass a));
+    Fa.set_read_fault a None;
+    check bool "duplicate acked" true !acked;
+    (* churn until the victims' AUs are reused *)
+    for _ = 1 to 40 do
+      write_ok clock a ~volume:"v" ~block:128 (random_data 128)
+    done;
+    ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+    ignore (await clock (Fa.gc ~min_dead_ratio:0.2 ~max_victims:64 a));
+    check bool "duplicate reads back" true
+      (read_ok clock a ~volume:"v" ~block:512 ~nblocks:64 = d);
+    Fa.crash a;
+    ignore (await clock (fun k -> Fa.failover a k));
+    check bool "duplicate survives crash + failover" true
+      (read_ok clock a ~volume:"v" ~block:512 ~nblocks:64 = d)
+  in
+  case (fun a k ->
+      Fa.gc ~min_dead_ratio:0.6 ~max_victims:64 a (fun r -> k (r.Purity_core.Gc.victims <> [])));
+  (* rebuild a drive holding block 0's segment *)
+  case (fun a k ->
+      let st = Fa.state a in
+      let medium = (Purity_core.State.Stbl.find st.Purity_core.State.volumes "v").medium in
+      let r = Option.get (Purity_core.State.resolve_block st ~medium ~block:0) in
+      let seg = Hashtbl.find st.segment_metas r.Purity_core.Blockref.segment in
+      Fa.rebuild_drive a seg.members.(0).drive (fun n -> k (n > 0)))
+
 (* ---------- scrub ---------- *)
 
 let test_scrub_clean_array () =
@@ -883,6 +934,7 @@ let () =
           Alcotest.test_case "segregates shared cblocks" `Quick test_gc_segregates_shared_cblocks;
           Alcotest.test_case "keeps overwrite during relocation" `Quick
             test_gc_keeps_overwrite_during_relocation;
+          Alcotest.test_case "no dedup into a victim" `Quick test_no_dedup_into_victim;
         ] );
       ( "scrub",
         [

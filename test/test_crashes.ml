@@ -30,7 +30,7 @@ let expect_clean plan =
 
 let run_seed ?gen seed () =
   match Runner.check_seed ?gen seed with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error r -> Alcotest.failf "%s" (Runner.report_to_string r)
 
 (* ---------- directed multi-fault orderings ---------- *)

@@ -300,6 +300,15 @@ let test_array_stats_match_registry () =
     (reg_int "write_path/stored_bytes");
   check int "app_reads derived" s.Fa.app_reads (reg_int "array/app_reads");
   check int "dedup agree" s.Fa.dedup_blocks (reg_int "dedup/inline_blocks");
+  let reg_float key =
+    match Registry.find snap key with
+    | Some (Registry.Float f) -> f
+    | _ -> Alcotest.failf "missing float metric %s" key
+  in
+  check (Alcotest.float 0.0) "data reduction agrees" s.Fa.data_reduction
+    (reg_float "array/data_reduction");
+  check (Alcotest.float 0.0) "availability agrees" s.Fa.availability
+    (reg_float "array/availability");
   (* per-drive metrics exist for the whole shelf *)
   for d = 0 to 10 do
     check bool

@@ -35,13 +35,15 @@ let () =
   Arg.parse spec (fun _ -> ()) "torture [-suite array|ac|all] [-base N] [-count N] [-steps N]";
   let failed = ref false in
   (* [check] is a Scenario instance's check_seed: double execution,
-     shrinking, one report per failure *)
+     shrinking, one report per failure. The per-seed digests fold into
+     one suite digest, so two commits' sweeps compare with one diff. *)
   let sweep name check report_to_string =
     let t0 = Unix.gettimeofday () in
+    let digest = ref 0 in
     (try
        for i = 0 to !count - 1 do
          (match check (Int64.add !base (Int64.of_int i)) with
-         | Ok () -> ()
+         | Ok d -> digest := Purity_check.Scenario.mix !digest d
          | Error report ->
            print_endline (report_to_string report);
            failed := true;
@@ -52,8 +54,8 @@ let () =
        done
      with Exit -> ());
     if not !failed then
-      Format.printf "torture[%s]: %d scenarios clean in %.1fs@." name !count
-        (Unix.gettimeofday () -. t0)
+      Format.printf "torture[%s]: %d scenarios clean in %.1fs, digest %x@." name !count
+        (Unix.gettimeofday () -. t0) !digest
   in
   let n = !steps in
   let gen = if n = 0 then Plan.default_gen else { Plan.default_gen with Plan.steps = n } in
