@@ -39,7 +39,8 @@ type config = State.config = {
   compression : bool;
   dedup_config : Purity_dedup.Dedup.config;
   read_cache_entries : int;
-      (** cblock frames cached in controller DRAM (0 disables) *)
+      (** decoded, CRC-verified cblocks cached in controller DRAM, up to
+          32 KiB each (128 MiB at the default 4096); 0 disables *)
   map_cache_entries : int;
       (** logical->blockref mapping-cache slots (0 disables) *)
   secondary_warming : bool;

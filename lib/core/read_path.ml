@@ -1,7 +1,9 @@
 (* The read path: (volume, block range) -> medium chain resolution
    (paper §4.5) -> block references -> coalesced cblock reads through the
-   scheduler (read-around-write, reconstruction) -> decompress -> copy the
-   requested 512 B slices out.
+   scheduler (read-around-write, reconstruction) -> decode (CRC check and
+   decompress) -> copy the requested 512 B slices out. A cblock is decoded
+   once while it sits in controller DRAM: the read cache and an unflushed
+   segio's memo both hold decoded data, so a hit only copies slices.
 
    Blocks with no reference anywhere in the chain read as zeros (thin
    provisioning); the paper's note that small reads "generally retrieve a
@@ -36,6 +38,27 @@ let plan t ~medium ~block ~nblocks =
       | _ -> fetches := { ref_ = r; slices = [ (i, r.Blockref.index) ] } :: !fetches)
   done;
   (List.rev !fetches, !zeros)
+
+(* A stored frame's application data: CRC check, payload copy and
+   decompress, done once per cblock fetch. None when the frame is
+   corrupt. *)
+let decode_frame frame =
+  match Cblock.data (fst (Cblock.decode frame ~pos:0)) with
+  | data -> Some data
+  | exception Invalid_argument _ -> None
+
+(* Copy the requested 512 B slices of a decoded cblock into the read's
+   output; false when a slice lies past the cblock's end. *)
+let deliver data slices out =
+  List.fold_left
+    (fun ok (out_block, cb_index) ->
+      let src = cb_index * block_size in
+      if src + block_size <= String.length data then begin
+        Bytes.blit_string data src out (out_block * block_size) block_size;
+        ok
+      end
+      else false)
+    true slices
 
 let read t ~volume ~block ~nblocks k =
   let start = Clock.now t.clock in
@@ -72,6 +95,16 @@ let read t ~volume ~block ~nblocks k =
             k (Ok (Bytes.unsafe_to_string out))
           end
         in
+        (* one fetch's cblock data (None: unreadable) reaches the caller *)
+        let complete f data =
+          (match data with
+          | None -> failed := true
+          | Some data -> if not (deliver data f.slices out) then failed := true);
+          decr pending;
+          if !pending = 0 then finish ()
+        in
+        (* DRAM-speed service: the decoded cblock is at hand *)
+        let from_dram f data = Clock.schedule t.clock ~delay:2.0 (fun () -> complete f data) in
         match fetches with
         | [] ->
           (* all-zero read: charge a trivial metadata-only latency *)
@@ -79,79 +112,45 @@ let read t ~volume ~block ~nblocks k =
         | _ :: _ ->
           List.iter
             (fun f ->
-              match Hashtbl.find_opt t.unflushed f.ref_.Blockref.segment with
-              | Some w -> (
-                (* data still in the segio's RAM buffer: DRAM-speed read *)
-                match
-                  Writer.peek_payload w ~off:f.ref_.Blockref.off
-                    ~len:f.ref_.Blockref.stored_len
-                with
-                | None ->
-                  failed := true;
-                  decr pending;
-                  if !pending = 0 then finish ()
-                | Some frame ->
-                  Clock.schedule t.clock ~delay:2.0 (fun () ->
-                      (match Cblock.decode (Bytes.unsafe_of_string frame) ~pos:0 with
-                      | exception Invalid_argument _ -> failed := true
-                      | cb, _ ->
-                        let data = Cblock.data cb in
-                        List.iter
-                          (fun (out_block, cb_index) ->
-                            let src = cb_index * block_size in
-                            if src + block_size <= String.length data then
-                              Bytes.blit_string data src out (out_block * block_size)
-                                block_size
-                            else failed := true)
-                          f.slices);
-                      decr pending;
-                      if !pending = 0 then finish ()))
+              let r = f.ref_ in
+              match Hashtbl.find_opt t.unflushed r.Blockref.segment with
+              | Some u -> (
+                (* data still in the segio's RAM buffer: decoded once, then
+                   served from the segio's own memo until it flushes *)
+                match Hashtbl.find_opt u.decoded r.Blockref.off with
+                | Some _ as data -> from_dram f data
+                | None -> (
+                  match
+                    Writer.peek_payload u.writer ~off:r.Blockref.off ~len:r.Blockref.stored_len
+                  with
+                  | None -> complete f None
+                  | Some frame ->
+                    let data = decode_frame (Bytes.unsafe_of_string frame) in
+                    Option.iter (Hashtbl.replace u.decoded r.Blockref.off) data;
+                    from_dram f data))
               | None -> (
-                let cache_key = (f.ref_.Blockref.segment, f.ref_.Blockref.off) in
-                let deliver_frame frame =
-                  match Cblock.decode frame ~pos:0 with
-                  | exception Invalid_argument _ -> failed := true
-                  | cb, _ ->
-                    let data = Cblock.data cb in
-                    List.iter
-                      (fun (out_block, cb_index) ->
-                        let src = cb_index * block_size in
-                        if src + block_size <= String.length data then
-                          Bytes.blit_string data src out (out_block * block_size)
-                            block_size
-                        else failed := true)
-                      f.slices
-                in
-                match
-                  if t.cfg.read_cache_entries > 0 then
-                    Purity_util.Lru.find t.read_cache cache_key
-                  else None
-                with
-                | Some frame ->
+                let key = read_key ~segment:r.Blockref.segment ~off:r.Blockref.off in
+                let cache_on = t.cfg.read_cache_entries > 0 && key <> no_key in
+                match if cache_on then Purity_util.Lru.find t.read_cache key else None with
+                | Some _ as data ->
                   (* controller-DRAM hit *)
                   Registry.incr t.ws.cache_hits;
-                  Clock.schedule t.clock ~delay:2.0 (fun () ->
-                      deliver_frame (Bytes.unsafe_of_string frame);
-                      decr pending;
-                      if !pending = 0 then finish ())
+                  from_dram f data
                 | None -> (
                   Registry.incr t.ws.cache_misses;
-                  match find_segment t f.ref_.Blockref.segment with
-                  | None ->
-                    failed := true;
-                    decr pending;
-                    if !pending = 0 then finish ()
+                  match find_segment t r.Blockref.segment with
+                  | None -> complete f None
                   | Some seg ->
-                    Io.read t.io seg ~off:f.ref_.Blockref.off
-                      ~len:f.ref_.Blockref.stored_len (fun result ->
-                        (match result with
-                        | Error `Unrecoverable -> failed := true
-                        | Ok frame ->
-                          if t.cfg.read_cache_entries > 0 then
-                            Purity_util.Lru.add t.read_cache cache_key
-                              (Bytes.to_string frame);
-                          deliver_frame frame);
-                        decr pending;
-                        if !pending = 0 then finish ()))))
+                    Io.read t.io seg ~off:r.Blockref.off ~len:r.Blockref.stored_len
+                      (fun result ->
+                        let data =
+                          match result with
+                          | Error `Unrecoverable -> None
+                          | Ok frame -> decode_frame frame
+                        in
+                        (match data with
+                        | Some d when cache_on -> Purity_util.Lru.add t.read_cache key d
+                        | _ -> ());
+                        complete f data))))
             fetches
       end

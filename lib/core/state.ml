@@ -44,7 +44,9 @@ type config = {
   inline_dedup : bool;
   compression : bool;
   dedup_config : Dedup.config;
-  read_cache_entries : int; (* cblock frames cached in controller DRAM; 0 = off *)
+  read_cache_entries : int;
+      (* decoded cblocks cached in controller DRAM, up to 32 KiB each
+         (128 MiB at the default 4096); 0 = off *)
   map_cache_entries : int; (* logical->blockref mapping cache slots; 0 = off *)
   secondary_warming : bool;
       (* paper 4.3: the primary asynchronously warms the spare's cache, so
@@ -138,6 +140,31 @@ type write_stats = {
   nvram_commit_us : Histogram.t; (* write intent -> durability ack *)
 }
 
+(* Two non-negative ints in one cache key: [lo] in the low [lo_bits]
+   bits, [hi] in the rest of a non-negative int. One int hashes and
+   compares without a tuple's allocation. A pair that does not fit packs
+   to [no_key], which no cache stores: its lookups go to the source. *)
+let no_key = -1
+
+let pack_key ~lo_bits ~hi ~lo =
+  if hi >= 0 && lo >= 0 && lo lsr lo_bits = 0 && hi lsr (62 - lo_bits) = 0 then
+    (hi lsl lo_bits) lor lo
+  else no_key
+
+(* read cache: (segment, payload offset), offsets below 4 GiB *)
+let read_key ~segment ~off = pack_key ~lo_bits:32 ~hi:segment ~lo:off
+
+(* map cache: (medium, block), blocks below 2^40 (a 512 TiB volume) and
+   medium ids below 2^22 *)
+let map_key_bits = 40
+let map_key ~medium ~block = pack_key ~lo_bits:map_key_bits ~hi:medium ~lo:block
+let map_key_medium k = k lsr map_key_bits
+
+(* A segio whose bytes are not yet on the drives, with the cblocks reads
+   have decoded out of its buffer (payload off -> data). The memo lives
+   and dies with the entry, so it never needs invalidating. *)
+type segio = { writer : Writer.t; decoded : (int, string) Hashtbl.t }
+
 type t = {
   cfg : config;
   clock : Clock.t;
@@ -162,7 +189,7 @@ type t = {
   mutable checkpoint_segments : int list; (* hold the current checkpoint *)
   mutable next_segment_id : int;
   mutable open_writer : Writer.t option;
-  unflushed : (int, Writer.t) Hashtbl.t;
+  unflushed : (int, segio) Hashtbl.t;
       (* segios (open or sealed) whose bytes are not yet on the drives;
          reads of their payload are served from RAM *)
   evacuating : (int, unit) Hashtbl.t;
@@ -199,9 +226,10 @@ type t = {
       (* per-lane compress/frame scratch for the fill loop: index 0 is the
          controller's own (serial) arena; grown to the pool's lane count
          on first parallel fill (lane_arenas) *)
-  read_cache : (int * int, string) Purity_util.Lru.t; (* (segment, off) -> frame *)
-  map_cache : (int * int, Blockref.t option) Purity_util.Lru.t;
-      (* (medium, block) -> memoized block-pyramid lookup, negative
+  read_cache : (int, string) Purity_util.Lru.t;
+      (* packed (segment, off) -> decoded, CRC-verified cblock data *)
+  map_cache : (int, Blockref.t option) Purity_util.Lru.t;
+      (* packed (medium, block) -> memoized block-pyramid lookup, negative
          results included (thin-provisioned upper levels miss constantly).
          Each entry mirrors exactly one pyramid key, so invalidation is
          exact: any fact or elide landing on the key evicts it. Never
@@ -477,7 +505,7 @@ let[@purity.lint.coldpath] open_fresh_writer t =
       members;
     let w = Writer.create ~layout:t.layout ~shelf:t.shelf ~rs:t.rs ~members ~id in
     t.open_writer <- Some w;
-    Hashtbl.replace t.unflushed id w;
+    Hashtbl.replace t.unflushed id { writer = w; decoded = Hashtbl.create 8 };
     (* a refill may have changed the persisted frontier: rewrite the
        boot region before this segment accumulates log records *)
     maybe_persist_boot t;
@@ -685,8 +713,8 @@ let stash_elide t tag ~seq ~lo ~hi =
    eviction. An entry caches exactly one pyramid key, making point
    eviction exact. *)
 let invalidate_block_mapping t key =
-  Purity_util.Lru.remove t.map_cache
-    (Keys.block_key_medium key, Keys.block_key_block key)
+  let k = map_key ~medium:(Keys.block_key_medium key) ~block:(Keys.block_key_block key) in
+  if k <> no_key then Purity_util.Lru.remove t.map_cache k
 
 (* Medium ids are the blocks pyramid's elide ids: retiring mediums
    [lo..hi] kills every cached mapping they own. Rare (volume/snapshot
@@ -694,7 +722,9 @@ let invalidate_block_mapping t key =
 let invalidate_medium_mappings t ~lo ~hi =
   let victims =
     Purity_util.Lru.fold
-      (fun ((m, _) as k) _ acc -> if m >= lo && m <= hi then k :: acc else acc)
+      (fun k _ acc ->
+        let m = map_key_medium k in
+        if m >= lo && m <= hi then k :: acc else acc)
       t.map_cache []
   in
   List.iter (Purity_util.Lru.remove t.map_cache) victims
@@ -786,16 +816,17 @@ let lookup_blockref_uncached t ~medium ~block =
   | None -> None
 
 let lookup_blockref t ~medium ~block =
-  if t.cfg.map_cache_entries = 0 then lookup_blockref_uncached t ~medium ~block
+  let key = map_key ~medium ~block in
+  if t.cfg.map_cache_entries = 0 || key = no_key then lookup_blockref_uncached t ~medium ~block
   else
-    match Purity_util.Lru.find t.map_cache (medium, block) with
+    match Purity_util.Lru.find t.map_cache key with
     | Some cached ->
       Registry.incr t.ws.map_hits;
       cached
     | None ->
       Registry.incr t.ws.map_misses;
       let r = lookup_blockref_uncached t ~medium ~block in
-      Purity_util.Lru.add t.map_cache (medium, block) r;
+      Purity_util.Lru.add t.map_cache key r;
       r
 
 (* Nearest level of the medium chain holding this block. *)
@@ -827,9 +858,8 @@ let resolve_range t ~medium ~block ~nblocks =
     let first = ref len and last = ref (-1) in
     for i = 0 to len - 1 do
       if not resolved.(off + i) then begin
-        let cached =
-          if use_cache then Purity_util.Lru.find t.map_cache (medium, block + i) else None
-        in
+        let key = if use_cache then map_key ~medium ~block:(block + i) else no_key in
+        let cached = if key = no_key then None else Purity_util.Lru.find t.map_cache key in
         match cached with
         | Some r ->
           Registry.incr t.ws.map_hits;
@@ -839,7 +869,7 @@ let resolve_range t ~medium ~block ~nblocks =
             resolved.(off + i) <- true
           | None -> () (* this level known empty; deeper levels may serve *))
         | None ->
-          if use_cache then Registry.incr t.ws.map_misses;
+          if key <> no_key then Registry.incr t.ws.map_misses;
           pending.(i) <- true;
           if i < !first then first := i;
           last := i
@@ -859,7 +889,8 @@ let resolve_range t ~medium ~block ~nblocks =
         if pending.(i) then begin
           let v = Pyramid.resolve_fact t.blocks run.(i - !first) in
           let r = Option.map Blockref.decode v in
-          if use_cache then Purity_util.Lru.add t.map_cache (medium, block + i) r;
+          let key = if use_cache then map_key ~medium ~block:(block + i) else no_key in
+          if key <> no_key then Purity_util.Lru.add t.map_cache key r;
           match r with
           | Some _ ->
             out.(off + i) <- r;
@@ -975,7 +1006,7 @@ let decode_boot s =
 (* Controller death: stop every in-flight flush and queued segio. Called
    by Flash_array.crash after clearing [online]. *)
 let halt_device_activity t =
-  Hashtbl.iter (fun _ w -> Writer.abort w) t.unflushed;
+  Hashtbl.iter (fun _ u -> Writer.abort u.writer) t.unflushed;
   Queue.clear t.flush_queue;
   t.flush_active <- false
 
@@ -985,5 +1016,5 @@ let halt_device_activity t =
 let warm_cache ~from ~into =
   if into.cfg.secondary_warming then
     Purity_util.Lru.fold
-      (fun key frame () -> Purity_util.Lru.add into.read_cache key frame)
+      (fun key data () -> Purity_util.Lru.add into.read_cache key data)
       from.read_cache ()

@@ -21,8 +21,13 @@ type error =
   | `No_space
   | `Offline ]
 
+(* Byte length of [encode_intent ~medium ~block data] for [len]-byte
+   data, computed without building it. *)
+let intent_length ~medium ~block ~len =
+  1 + Varint.size medium + Varint.size block + Varint.size len + len
+
 let encode_intent ~medium ~block data =
-  let buf = Buffer.create (String.length data + 16) in
+  let buf = Buffer.create (intent_length ~medium ~block ~len:(String.length data)) in
   Buffer.add_char buf 'W';
   Varint.write buf medium;
   Varint.write buf block;
@@ -208,7 +213,6 @@ let write t ~volume ~block data k =
         | Error `Read_only -> fail `Read_only
         | Error (`Out_of_range | `No_such_medium) -> fail `Out_of_range
         | Ok medium ->
-          let intent = encode_intent ~medium ~block data in
           (* trace the multi-hop write: the NVRAM commit and memtable apply
              are children of one [write] span (segio flush/program spans
              hang off the asynchronous pump instead) *)
@@ -222,7 +226,7 @@ let write t ~volume ~block data k =
              commit callbacks fire in seq order, so the applied watermark
              is monotone *)
           let intent_seq = Purity_pyramid.Seqno.next t.seqno in
-          Nvram.commit (nvram t) { Nvram.seq = intent_seq; payload = intent } (function
+          let committed = function
             | Error `Full ->
               Span.finish ~tags:[ ("error", "backpressure") ] commit_span;
               Span.finish wspan;
@@ -254,5 +258,14 @@ let write t ~volume ~block data k =
               | exception Out_of_space ->
                 Span.finish ~tags:[ ("error", "no_space") ] apply_span;
                 Span.finish wspan;
-                k (Error `No_space)))
+                k (Error `No_space))
+          in
+          (* a back-pressure retry is refused on size alone: build the
+             intent only when the NVRAM will take it *)
+          let nv = nvram t in
+          if Nvram.fits nv ~payload_len:(intent_length ~medium ~block ~len) then
+            Nvram.commit nv
+              { Nvram.seq = intent_seq; payload = encode_intent ~medium ~block data }
+              committed
+          else Nvram.refuse nv committed
       end

@@ -25,12 +25,16 @@ let create ?(latency_us = 15.0) ?(mb_s = 700.0) ?(capacity = 16 * 1024 * 1024) ~
     losses = 0;
   }
 
-let record_size r = String.length r.payload + 16
+(* a record's log footprint: its payload plus a fixed 16 B header *)
+let record_bytes ~payload_len = payload_len + 16
+let record_size r = record_bytes ~payload_len:(String.length r.payload)
+let fits t ~payload_len = t.used + record_bytes ~payload_len <= t.cap
+let refuse t k = Clock.schedule t.clock ~delay:1.0 (fun () -> k (Error `Full))
 
 let commit t r k =
-  let size = record_size r in
-  if t.used + size > t.cap then Clock.schedule t.clock ~delay:1.0 (fun () -> k (Error `Full))
+  if not (fits t ~payload_len:(String.length r.payload)) then refuse t k
   else begin
+    let size = record_size r in
     Queue.add r t.log;
     t.used <- t.used + size;
     let transfer = float_of_int size /. (t.mb_s *. 1024.0 *. 1024.0 /. 1e6) in

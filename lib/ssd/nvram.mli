@@ -27,6 +27,15 @@ val commit : t -> record -> ((unit, [ `Full ]) result -> unit) -> unit
     [`Full] means the segment writer has fallen behind and the caller must
     stall (back-pressure, as in the real system). *)
 
+val fits : t -> payload_len:int -> bool
+(** Whether {!commit} would accept a record with a [payload_len]-byte
+    payload now: the admission test alone, so a caller can skip building
+    a record the device would refuse. *)
+
+val refuse : t -> ((unit, [ `Full ]) result -> unit) -> unit
+(** What {!commit} does with a record that does not fit: the callback
+    gets [Error `Full] after the device's refusal delay. *)
+
 val trim_upto : t -> int64 -> unit
 (** Drop records with [seq] <= the given sequence number: they are now
     persisted in segments. *)

@@ -50,6 +50,12 @@ let read_ok clock a ~volume ~block ~nblocks =
   | Ok data -> data
   | Error _ -> Alcotest.fail "read failed"
 
+(* the segment holding a block's cblock *)
+let block_segment a ~volume ~block =
+  let st = Fa.state a in
+  let medium = (Purity_core.State.Stbl.find st.Purity_core.State.volumes volume).medium in
+  (Option.get (Purity_core.State.resolve_block st ~medium ~block)).Purity_core.Blockref.segment
+
 let rng = Rng.create ~seed:0xC0DEL
 let random_data nblocks = Bytes.to_string (Rng.bytes rng (nblocks * bs))
 
@@ -553,10 +559,10 @@ let test_no_dedup_into_victim () =
       Fa.gc ~min_dead_ratio:0.6 ~max_victims:64 a (fun r -> k (r.Purity_core.Gc.victims <> [])));
   (* rebuild a drive holding block 0's segment *)
   case (fun a k ->
-      let st = Fa.state a in
-      let medium = (Purity_core.State.Stbl.find st.Purity_core.State.volumes "v").medium in
-      let r = Option.get (Purity_core.State.resolve_block st ~medium ~block:0) in
-      let seg = Hashtbl.find st.segment_metas r.Purity_core.Blockref.segment in
+      let seg =
+        Hashtbl.find (Fa.state a).Purity_core.State.segment_metas
+          (block_segment a ~volume:"v" ~block:0)
+      in
       Fa.rebuild_drive a seg.members.(0).drive (fun n -> k (n > 0)))
 
 (* ---------- scrub ---------- *)
@@ -630,14 +636,25 @@ let test_cache_hits_speed_up_rereads () =
   check bool (Printf.sprintf "hit is DRAM speed (%.1f us)" hit_latency) true
     (hit_latency < 50.0)
 
+(* Kernel counters are always on: a read's decode shows as a CRC call. *)
+module Ks = Purity_util.Kernel_stats
+
+let decodes () = (Ks.lz_decompress.calls, Ks.crc.calls)
+
 let test_cache_disabled () =
   let clock, a = make_array ~config:{ test_config with Fa.read_cache_entries = 0 } () in
   ok (Fa.create_volume a "v" ~blocks:64);
-  write_ok clock a ~volume:"v" ~block:0 (random_data 16);
+  let d = random_data 16 in
+  write_ok clock a ~volume:"v" ~block:0 d;
   ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
-  ignore (read_ok clock a ~volume:"v" ~block:0 ~nblocks:16);
-  ignore (read_ok clock a ~volume:"v" ~block:0 ~nblocks:16);
-  check int "no hits when disabled" 0 (Fa.stats a).Fa.cache_hits
+  let _, crc0 = decodes () in
+  let first = read_ok clock a ~volume:"v" ~block:0 ~nblocks:16 in
+  let _, crc1 = decodes () in
+  let second = read_ok clock a ~volume:"v" ~block:0 ~nblocks:16 in
+  let _, crc2 = decodes () in
+  check int "no hits when disabled" 0 (Fa.stats a).Fa.cache_hits;
+  check bool "reads agree" true (first = d && second = d);
+  check bool "each read decodes" true (crc1 > crc0 && crc2 - crc1 = crc1 - crc0)
 
 let test_cache_serves_fresh_data_after_overwrite () =
   let clock, a = make_array () in
@@ -684,6 +701,65 @@ let test_cold_failover_without_warming () =
   ignore (read_ok clock a ~volume:"v" ~block:0 ~nblocks:256);
   let s = Fa.stats a in
   check int "cold spare misses" 0 s.Fa.cache_hits
+
+(* A cblock is decoded once while it sits in controller DRAM: the read
+   cache and an unflushed segio's memo hold decoded data, so a repeat
+   read runs no CRC and no decompress. *)
+let test_cache_hit_skips_decode () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  let d = textish 64 in
+  write_ok clock a ~volume:"v" ~block:0 d;
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let lz0, _ = decodes () in
+  check bool "first read correct" true (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = d);
+  let lz1, crc1 = decodes () in
+  check bool "miss decompresses" true (lz1 > lz0);
+  let hits = (Fa.stats a).Fa.cache_hits in
+  check bool "hit correct" true (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = d);
+  check int "one more hit" (hits + 1) (Fa.stats a).Fa.cache_hits;
+  check (Alcotest.pair int int) "hit runs no decompress and no CRC" (lz1, crc1) (decodes ())
+
+let test_segio_read_decodes_once () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:512);
+  let d = textish 64 in
+  write_ok clock a ~volume:"v" ~block:0 d;
+  let seg = block_segment a ~volume:"v" ~block:0 in
+  check bool "still in the open segio" true
+    (Hashtbl.mem (Fa.state a).Purity_core.State.unflushed seg);
+  let lz0, _ = decodes () in
+  check bool "segio read correct" true (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = d);
+  check bool "segio reread correct" true (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = d);
+  check int "one decompress for two reads" (lz0 + 1) (fst (decodes ()));
+  (* overwritten churn leaves block 0's segment mostly dead *)
+  for _ = 1 to 6 do
+    write_ok clock a ~volume:"v" ~block:128 (random_data 128)
+  done;
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let r = await clock (Fa.gc ~min_dead_ratio:0.6 ~max_victims:64 a) in
+  check bool "segment collected" true (List.mem seg r.Purity_core.Gc.victims);
+  check bool "block relocated" true (block_segment a ~volume:"v" ~block:0 <> seg);
+  check bool "read after GC correct" true (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = d)
+
+(* The map cache packs (medium, block) into one int; a block past its
+   2^40 range is looked up without it. Blocks past 2^32 and past 2^40
+   of a thin volume read back what was written, also after an
+   overwrite that lands on a cached mapping. *)
+let test_huge_thin_volume () =
+  let clock, a = make_array () in
+  let blocks = 1 lsl 41 in
+  ok (Fa.create_volume a "v" ~blocks);
+  List.iter
+    (fun block ->
+      let fill c = String.make (2 * bs) c in
+      write_ok clock a ~volume:"v" ~block (fill 'a');
+      check bool "written" true (read_ok clock a ~volume:"v" ~block ~nblocks:2 = fill 'a');
+      write_ok clock a ~volume:"v" ~block (fill 'b');
+      check bool "overwritten" true (read_ok clock a ~volume:"v" ~block ~nblocks:2 = fill 'b');
+      check bool "neighbour thin" true
+        (read_ok clock a ~volume:"v" ~block:(block + 2) ~nblocks:1 = String.make bs '\000'))
+    [ (1 lsl 32) + 5; (1 lsl 40) + 7; blocks - 3 ]
 
 (* ---------- 4.6: inferred transfer sizes ---------- *)
 
@@ -777,6 +853,15 @@ let test_p95_backup_reads () =
   check bool "hedge plumbing alive" true (io.Purity_sched.Io.backup_reads >= 0)
 
 (* ---------- whole-array consistency property ---------- *)
+
+(* The NVRAM admission check sizes a write intent without building it. *)
+let prop_intent_length =
+  QCheck.Test.make ~name:"intent length matches its encoding" ~count:300
+    QCheck.(triple (int_bound (1 lsl 30)) (int_bound (1 lsl 40)) (int_bound 70_000))
+    (fun (medium, block, len) ->
+      Purity_core.Write_path.intent_length ~medium ~block ~len
+      = String.length
+          (Purity_core.Write_path.encode_intent ~medium ~block (String.make len 'i')))
 
 let prop_array_matches_model =
   (* random overlapping writes + reads against a naive byte-array model,
@@ -943,7 +1028,11 @@ let () =
         ] );
       ( "sched",
         [ Alcotest.test_case "p95 hedged reads" `Quick test_p95_backup_reads ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_array_matches_model ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_array_matches_model;
+          QCheck_alcotest.to_alcotest prop_intent_length;
+        ] );
       ( "protection",
         [
           Alcotest.test_case "cadence and retention" `Quick test_protection_cadence_and_retention;
@@ -965,5 +1054,8 @@ let () =
           Alcotest.test_case "overwrite wins" `Quick test_cache_serves_fresh_data_after_overwrite;
           Alcotest.test_case "secondary warming" `Quick test_secondary_warming_preserves_hits;
           Alcotest.test_case "cold without warming" `Quick test_cold_failover_without_warming;
+          Alcotest.test_case "hit skips decode" `Quick test_cache_hit_skips_decode;
+          Alcotest.test_case "segio read decodes once" `Quick test_segio_read_decodes_once;
+          Alcotest.test_case "huge thin volume" `Quick test_huge_thin_volume;
         ] );
     ]

@@ -216,6 +216,31 @@ let test_nvram_full_backpressure () =
   Clock.run clock;
   check bool "backpressure" true !full
 
+(* [fits] is [commit]'s admission test: a record that exactly fills the
+   device is taken, one byte more is refused after 1 us. *)
+let test_nvram_fits_boundary () =
+  let clock = Clock.create () in
+  let nv = Nvram.create ~capacity:100 ~clock () in
+  check bool "exact fit admitted" true (Nvram.fits nv ~payload_len:84);
+  check bool "one byte more refused" false (Nvram.fits nv ~payload_len:85);
+  let t0 = Clock.now clock in
+  let over = ref None in
+  Nvram.commit nv { Nvram.seq = 1L; payload = String.make 85 'o' } (fun r ->
+      over := Some (r, Clock.now clock -. t0));
+  Clock.run clock;
+  (match !over with
+  | Some (Error `Full, after) -> check (Alcotest.float 1e-9) "refused after 1 us" 1.0 after
+  | _ -> Alcotest.fail "oversized record accepted");
+  check int "refusal logs nothing" 0 (Nvram.used_bytes nv);
+  let exact = ref false in
+  Nvram.commit nv { Nvram.seq = 2L; payload = String.make 84 'e' } (function
+    | Ok () -> exact := true
+    | Error `Full -> ());
+  Clock.run clock;
+  check bool "exact fit committed" true !exact;
+  check int "device full" 100 (Nvram.used_bytes nv);
+  check bool "nothing more fits" false (Nvram.fits nv ~payload_len:0)
+
 let test_nvram_bounded_latency () =
   let clock = Clock.create () in
   let nv = Nvram.create ~latency_us:15.0 ~clock () in
@@ -329,6 +354,7 @@ let () =
           Alcotest.test_case "commit & replay" `Quick test_nvram_commit_replay;
           Alcotest.test_case "trim" `Quick test_nvram_trim;
           Alcotest.test_case "full backpressure" `Quick test_nvram_full_backpressure;
+          Alcotest.test_case "fits boundary" `Quick test_nvram_fits_boundary;
           Alcotest.test_case "bounded latency" `Quick test_nvram_bounded_latency;
         ] );
       ( "ftl",
