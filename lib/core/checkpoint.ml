@@ -39,11 +39,10 @@ let run t k =
          the new directory is, so a crash mid-checkpoint leaves the old
          (dir, watermark) pair intact. *)
       let cut_seq = Seqno.current t.seqno in
-      let pyramids = [ t.blocks; t.mediums_pyr; t.segments_pyr; t.volumes_pyr ] in
       let total_bytes = ref 0 in
       let dir =
         List.map
-          (fun pyr ->
+          (fun (_, pyr) ->
             Pyramid.flatten pyr;
             let patch =
               match Pyramid.patches pyr with [] -> Patch.empty | p :: _ -> p
@@ -65,7 +64,7 @@ let run t k =
               off := !off + len
             done;
             (Pyramid.name pyr, ranges, List.rev !chunks))
-          pyramids
+          t.tables
       in
       (* Flush the checkpoint segments, then write the boot region. *)
       seal_current t;

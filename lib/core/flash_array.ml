@@ -138,8 +138,8 @@ let rec drop_medium_cascade st medium =
       |> List.sort_uniq Int.compare
     in
     Medium.drop st.medium_table medium;
-    ignore (put_elide st st.mediums_pyr ~lo:medium ~hi:medium);
-    ignore (put_elide st st.blocks ~lo:medium ~hi:medium);
+    put_elide st st.mediums_pyr ~lo:medium ~hi:medium;
+    put_elide st st.blocks ~lo:medium ~hi:medium;
     List.iter (drop_medium_cascade st) targets
   end
 
@@ -150,7 +150,7 @@ let delete_volume t name =
   | Some { kind = Snapshot; _ } -> Error `Is_snapshot
   | Some v ->
     State.Stbl.remove st.volumes name;
-    ignore (put_delete st st.volumes_pyr ~key:name);
+    put_delete st st.volumes_pyr ~key:name;
     drop_medium_cascade st v.medium;
     Ok ()
 
@@ -224,7 +224,7 @@ let delete_snapshot t name =
   | Some { kind = Volume; _ } -> Error `Is_volume
   | Some v ->
     State.Stbl.remove st.volumes name;
-    ignore (put_delete st st.volumes_pyr ~key:name);
+    put_delete st st.volumes_pyr ~key:name;
     drop_medium_cascade st v.medium;
     Ok ()
 

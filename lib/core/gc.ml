@@ -156,7 +156,7 @@ let relocate_segment t ~live ~content_cache (tally : tally) (seg_id : int) k =
                   in
                   List.iter
                     (fun (key, index) ->
-                      ignore (put t t.blocks ~key ~value:(Blockref.encode { base with Blockref.index })))
+                      put t t.blocks ~key ~value:(Blockref.encode { base with Blockref.index }))
                     refs
                 with Out_of_space -> all_ok := false)));
             go rest)

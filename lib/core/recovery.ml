@@ -36,49 +36,17 @@ type chaos = { mutable skip_nvram_replay : bool }
 
 let chaos = { skip_nvram_replay = false }
 
+(* A corrupt record, or one naming no table, skips and counts 0; so does
+   a change its table rejects (an inverted or wrong-policy elide). *)
 let replay_log_record t record =
-  let buf = Bytes.unsafe_of_string record in
-  if Bytes.length buf = 0 then 0
-  else begin
-    let route tag =
-      match tag with
-      | 'B' -> Some t.blocks
-      | 'M' -> Some t.mediums_pyr
-      | 'S' -> Some t.segments_pyr
-      | 'V' -> Some t.volumes_pyr
-      | _ -> None
-    in
-    match Bytes.get buf 0 with
-    | 'e' ->
-      (* elide record: 'e' tag seq lo hi *)
-      if Bytes.length buf < 2 then 0
-      else begin
-        match route (Bytes.get buf 1) with
-        | None -> 0
-        | Some pyr -> (
-          (* the varint reads sit inside the match scrutinee: a record
-             truncated mid-field skips, like any other corrupt record *)
-          match
-            let seq, p = Varint.read_i64 buf ~pos:2 in
-            let lo, p = Varint.read buf ~pos:p in
-            let hi, _ = Varint.read buf ~pos:p in
-            (seq, lo, hi)
-          with
-          | exception Invalid_argument _ -> 0
-          | seq, lo, hi ->
-            (try Pyramid.elide_range pyr ~seq ~lo ~hi with Invalid_argument _ -> ());
-            1)
-      end
-    | tag -> (
-      match route tag with
-      | None -> 0
-      | Some pyr -> (
-        match Fact.decode buf ~pos:1 with
-        | fact, _ ->
-          Pyramid.insert_fact pyr fact;
-          1
-        | exception Invalid_argument _ -> 0))
-  end
+  match decode_change ~stash:false record with
+  | None -> 0
+  | Some (tag, change) -> (
+    match table_of_tag t tag with
+    | None -> 0
+    | Some pyr ->
+      (try apply_change pyr change with Invalid_argument _ -> ());
+      1)
 
 (* Rebuild volatile state from the recovered pyramids. *)
 let rebuild_derived t ~medium_next_hint =
@@ -145,9 +113,7 @@ let rebuild_derived t ~medium_next_hint =
       | v -> Stbl.replace t.volumes key v
       | exception Invalid_argument _ -> ());
   (* the sequence counter must move past everything rediscovered *)
-  List.iter
-    (fun pyr -> Seqno.restore_at_least t.seqno (Pyramid.max_seq pyr))
-    [ t.blocks; t.mediums_pyr; t.segments_pyr; t.volumes_pyr ]
+  List.iter (fun (_, pyr) -> Seqno.restore_at_least t.seqno (Pyramid.max_seq pyr)) t.tables
 
 (* Fallback commit evidence for a scanned segment: every member AU on a
    reachable drive holds the complete shard (header plus every data row
@@ -267,11 +233,6 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
       in
       (* load checkpoint patches *)
       let ckpt_bytes = ref 0 in
-      let pyr_of_name name =
-        List.find_opt
-          (fun p -> String.equal (Pyramid.name p) name)
-          [ t.blocks; t.mediums_pyr; t.segments_pyr; t.volumes_pyr ]
-      in
       let ckpt_segments = ref [] in
       let load_chunks chunks k =
         let parts = Array.make (List.length chunks) "" in
@@ -306,9 +267,9 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
         match dir with
         | [] -> k ()
         | (name, ranges, chunks) :: rest -> (
-          match pyr_of_name name with
+          match List.find_opt (fun (_, p) -> String.equal (Pyramid.name p) name) t.tables with
           | None -> load_dir rest k
-          | Some pyr ->
+          | Some (_, pyr) ->
             load_chunks chunks (fun blob ->
                 ckpt_bytes := !ckpt_bytes + String.length blob;
                 (if String.length blob > 0 then
@@ -376,23 +337,15 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
               let nvram_commits = Hashtbl.create 16 in
               List.iter
                 (fun (r : Nvram.record) ->
-                  let p = r.Nvram.payload in
                   (* stashes at or below the checkpoint watermark carry no
                      information the patches don't: in particular a released
                      segment's stale 'S' stash must not count as commit
                      proof *)
-                  if
-                    Int64.compare r.Nvram.seq t.checkpoint_seq > 0
-                    && String.length p >= 2
-                    && p.[0] = 'F'
-                    && p.[1] = 'S'
-                  then
-                    match Fact.decode (Bytes.unsafe_of_string p) ~pos:2 with
-                    | fact, _ ->
-                      if Option.is_some fact.Fact.value then
-                        Hashtbl.replace nvram_commits
-                          (Keys.segment_key_id fact.Fact.key) ()
-                    | exception Invalid_argument _ -> ())
+                  if Int64.compare r.Nvram.seq t.checkpoint_seq > 0 then
+                    match decode_change ~stash:true r.Nvram.payload with
+                    | Some ('S', Put { Fact.key; value = Some _; _ }) ->
+                      Hashtbl.replace nvram_commits (Keys.segment_key_id key) ()
+                    | _ -> ())
                 (Nvram.records (nvram t));
               let committed (seg : Segment.t) =
                 Hashtbl.mem t.segment_metas seg.Segment.id
@@ -466,7 +419,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                       Option.is_none (Pyramid.find t.segments_pyr key)
                       && Option.is_none (Pyramid.find_ignoring_retractions t.segments_pyr key)
                     then
-                      try ignore (put t t.segments_pyr ~key ~value:(Segment.encode_compact seg))
+                      try put t t.segments_pyr ~key ~value:(Segment.encode_compact seg)
                       with Out_of_space -> ())
                   !trusted;
                 (* NVRAM intents: writes acked but possibly not in any
@@ -475,57 +428,21 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                   if chaos.skip_nvram_replay then [] else Nvram.records (nvram t)
                 in
                 let n = List.length records in
-                let route tag =
-                  match tag with
-                  | 'M' -> Some t.mediums_pyr
-                  | 'V' -> Some t.volumes_pyr
-                  | 'S' -> Some t.segments_pyr
-                  | _ -> None
-                in
                 (* Replayed metadata must become durable again: its NVRAM
                    record will be trimmed at the next segio flush, and the
-                   bare replay would leave the fact memtable-only.  It is
-                   re-inserted, re-logged and re-stashed under its ORIGINAL
-                   sequence number — re-putting with a fresh one would let
-                   a stale stash outrank newer facts recovered from the
-                   patches or the segment logs. *)
-                let replay_meta payload =
-                  let buf = Bytes.unsafe_of_string payload in
-                  if Bytes.length buf >= 2 then
-                    match route (Bytes.get buf 1) with
-                    | None -> ()
+                   bare replay would leave the change memtable-only.  It is
+                   re-recorded (applied, re-logged, re-stashed) under its
+                   ORIGINAL sequence number — re-putting with a fresh one
+                   would let a stale stash outrank newer facts recovered
+                   from the patches or the segment logs. *)
+                let replay_stash payload =
+                  match decode_change ~stash:true payload with
+                  | Some (tag, change) when nvram_backed tag change -> (
+                    match table_of_tag t tag with
                     | Some pyr -> (
-                      match Fact.decode buf ~pos:2 with
-                      | fact, _ ->
-                        Pyramid.insert_fact pyr fact;
-                        let tag = Bytes.get buf 1 in
-                        (try
-                           log_fact t tag fact;
-                           stash_fact t tag fact
-                         with Out_of_space -> ())
-                      | exception Invalid_argument _ -> ())
-                in
-                let replay_elide payload =
-                  let buf = Bytes.unsafe_of_string payload in
-                  if Bytes.length buf >= 2 then
-                    match route (Bytes.get buf 1) with
-                    | None -> ()
-                    | Some pyr -> (
-                      match
-                        let seq, p = Varint.read_i64 buf ~pos:2 in
-                        let lo, p = Varint.read buf ~pos:p in
-                        let hi, _ = Varint.read buf ~pos:p in
-                        (seq, lo, hi)
-                      with
-                      | seq, lo, hi ->
-                        (try Pyramid.elide_range pyr ~seq ~lo ~hi
-                         with Invalid_argument _ -> ());
-                        let tag = Bytes.get buf 1 in
-                        (try
-                           log_elide t tag ~seq ~lo ~hi;
-                           stash_elide t tag ~seq ~lo ~hi
-                         with Out_of_space -> ())
-                      | exception Invalid_argument _ -> ())
+                      try record t pyr change with Out_of_space | Invalid_argument _ -> ())
+                    | None -> ())
+                  | _ -> ()
                 in
                 List.iter
                   (fun (r : Nvram.record) ->
@@ -543,10 +460,8 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                          already in the patches (or deliberately compacted
                          away); re-putting them with a fresh seq would shadow
                          newer state *)
-                      | 'F' when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 ->
-                        replay_meta payload
-                      | 'E' when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 ->
-                        replay_elide payload
+                      | _ when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 ->
+                        replay_stash payload
                       | _ -> ())
                   records;
                 (* derived state again: replayed intents may have grown things *)

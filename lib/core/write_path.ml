@@ -47,7 +47,7 @@ let decode_intent s =
 
 (* Record one block-index fact (and its log record). *)
 let put_block t ~medium ~block (r : Blockref.t) =
-  ignore (put t t.blocks ~key:(Keys.block_key ~medium ~block) ~value:(Blockref.encode r))
+  put t t.blocks ~key:(Keys.block_key ~medium ~block) ~value:(Blockref.encode r)
 
 (* Store one fresh run of blocks as a cblock; returns its home. The
    frame is built in the controller's arena — compression runs in the

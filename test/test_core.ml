@@ -402,6 +402,62 @@ let test_availability_accounting () =
   let s = Fa.stats a in
   check bool "high availability" true (s.Fa.availability > 0.99 && s.Fa.availability <= 1.0)
 
+(* A volume deleted just before a crash must stay deleted: its block
+   facts are retired by an elide, and failover has to replay that elide
+   from wherever it survived. Volumes "keep" (64 blocks) and "temp" (512
+   blocks) are written and flushed, then "temp" is deleted. [settle] runs
+   between the delete and the (optional) crash + failover. Returns live
+   logical bytes, and physical bytes used after a GC pass. *)
+let deleted_volume_outcome ~settle ~crash =
+  let clock, a = make_array () in
+  let rng = Rng.create ~seed:0xDE1L in
+  let data n = Bytes.to_string (Rng.bytes rng (n * bs)) in
+  ok (Fa.create_volume a "keep" ~blocks:64);
+  ok (Fa.create_volume a "temp" ~blocks:512);
+  write_ok clock a ~volume:"keep" ~block:0 (data 64);
+  for i = 0 to 7 do
+    write_ok clock a ~volume:"temp" ~block:(i * 64) (data 64)
+  done;
+  await clock (fun k -> Fa.flush a k);
+  ok (Fa.delete_volume a "temp");
+  settle clock a;
+  if crash then begin
+    Fa.crash a;
+    ignore (await clock (fun k -> Fa.failover a k))
+  end;
+  check bool "temp stays deleted" false (Fa.volume_exists a "temp");
+  let live = (Fa.stats a).Fa.live_logical_bytes in
+  ignore (await clock (fun k -> Fa.gc ~min_dead_ratio:0.5 a k));
+  (live, (Fa.stats a).Fa.physical_bytes_used)
+
+let nvram_payloads a =
+  List.map
+    (fun (r : Purity_ssd.Nvram.record) -> r.Purity_ssd.Nvram.payload)
+    (Purity_ssd.Nvram.records (Purity_core.State.nvram (Fa.state a)))
+
+let check_deleted_volume ~settle =
+  let live, used = deleted_volume_outcome ~settle ~crash:true in
+  let live', used' = deleted_volume_outcome ~settle ~crash:false in
+  check int "only keep's blocks live" (64 * bs) live';
+  check int "live bytes match the no-crash control" live' live;
+  check int "GC reclaims as in the no-crash control" used' used
+
+let elide_stashed a = List.exists (fun p -> String.length p > 0 && p.[0] = 'E') (nvram_payloads a)
+
+(* Crash before the delete's segio flushes: the elides survive only as
+   NVRAM stashes. *)
+let test_deleted_volume_survives_crash_nvram () =
+  check_deleted_volume ~settle:(fun _ a -> check bool "elides still in NVRAM" true (elide_stashed a))
+
+(* Crash after the delete's records flushed and their stashes were
+   trimmed: the elides survive only as segio log records. A later write
+   moves the trim watermark past them. *)
+let test_deleted_volume_survives_crash_log () =
+  check_deleted_volume ~settle:(fun clock a ->
+      write_ok clock a ~volume:"keep" ~block:0 (String.make bs 'k');
+      await clock (fun k -> Fa.flush a k);
+      check bool "no elide left in NVRAM" false (elide_stashed a))
+
 (* ---------- GC ---------- *)
 
 let test_gc_reclaims_overwritten_space () =
@@ -1009,6 +1065,10 @@ let () =
           Alcotest.test_case "frontier faster than full" `Quick
             test_frontier_recovery_faster_than_full;
           Alcotest.test_case "availability accounting" `Quick test_availability_accounting;
+          Alcotest.test_case "deleted volume, crash before flush" `Quick
+            test_deleted_volume_survives_crash_nvram;
+          Alcotest.test_case "deleted volume, crash after trim" `Quick
+            test_deleted_volume_survives_crash_log;
         ] );
       ( "gc",
         [

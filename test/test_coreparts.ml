@@ -1,10 +1,12 @@
 (* Unit tests for the small core-support modules: key encodings, block
-   references, and the boot region. *)
+   references, the boot region, and the metadata-record codec. *)
 
 module Clock = Purity_sim.Clock
 module Keys = Purity_core.Keys
 module Blockref = Purity_core.Blockref
 module Boot = Purity_core.Boot_region
+module State = Purity_core.State
+module Fact = Purity_pyramid.Fact
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -87,6 +89,74 @@ let test_boot_latency_charged () =
   Clock.run clock;
   check bool "write took simulated time" true (!done_at >= 600.0)
 
+(* ---------- metadata records ---------- *)
+
+(* The on-media bytes, built by hand: a format change must fail here,
+   not only round-trip through the new codec. *)
+let test_record_bytes () =
+  let fact = Fact.make ~key:"ab" ~value:"xyz" ~seq:300L in
+  (* seq 300 = varint ac 02; key len 2; "ab"; value present; len 3; "xyz" *)
+  let fact_bytes = "\xac\x02\x02ab\x01\x03xyz" in
+  let tomb_bytes = "\x05\x01k\x00" in
+  let elide_body = "\xac\x02\x07\x09" in
+  let cases =
+    [
+      (false, 'M', State.Put fact, "M" ^ fact_bytes);
+      (true, 'V', State.Put fact, "FV" ^ fact_bytes);
+      (false, 'S', State.Put (Fact.tombstone ~key:"k" ~seq:5L), "S" ^ tomb_bytes);
+      (true, 'S', State.Put (Fact.tombstone ~key:"k" ~seq:5L), "FS" ^ tomb_bytes);
+      (false, 'B', State.Elide { seq = 300L; lo = 7; hi = 9 }, "eB" ^ elide_body);
+      (true, 'M', State.Elide { seq = 300L; lo = 7; hi = 9 }, "EM" ^ elide_body);
+    ]
+  in
+  List.iter
+    (fun (stash, tag, change, bytes) ->
+      check Alcotest.string "encoded bytes" bytes (State.encode_change ~stash tag change);
+      check bool "bytes decode back" true
+        (State.decode_change ~stash bytes = Some (tag, change)))
+    cases
+
+let test_record_rejects () =
+  let fact = Fact.make ~key:"ab" ~value:"xyz" ~seq:300L in
+  let log = State.encode_change ~stash:false 'B' (State.Put fact) in
+  let stash = State.encode_change ~stash:true 'M' (State.Put fact) in
+  let none ~stash s = State.decode_change ~stash s = None in
+  check bool "empty" true (none ~stash:false "" && none ~stash:true "");
+  check bool "trailing byte" true (none ~stash:false (log ^ "x") && none ~stash:true (stash ^ "x"));
+  check bool "log record is no stash" true (none ~stash:true log);
+  check bool "write intent is no stash" true (none ~stash:true "W\x01\x02\x01z")
+
+let gen_change =
+  QCheck.Gen.(
+    let nat = int_bound 1_000_000_000 in
+    let seq = map Int64.of_int nat in
+    oneof
+      [
+        map3
+          (fun key value seq -> State.Put { Fact.key; value; seq })
+          (string_size (0 -- 40)) (opt (string_size (0 -- 200))) seq;
+        map3 (fun seq lo n -> State.Elide { seq; lo; hi = lo + n }) seq nat (int_bound 1000);
+      ])
+
+let arb_record =
+  QCheck.make
+    ~print:(fun (stash, tag, change) ->
+      Printf.sprintf "stash=%b %S" stash (State.encode_change ~stash tag change))
+    QCheck.Gen.(triple bool (oneofl [ 'B'; 'M'; 'S'; 'V' ]) gen_change)
+
+let prop_record_roundtrip =
+  QCheck.Test.make ~name:"record codec roundtrip, both copies" ~count:500 arb_record
+    (fun (stash, tag, change) ->
+      State.decode_change ~stash (State.encode_change ~stash tag change) = Some (tag, change))
+
+let prop_record_prefixes =
+  QCheck.Test.make ~name:"every strict prefix of a record decodes to None" ~count:300
+    arb_record (fun (stash, tag, change) ->
+      let s = State.encode_change ~stash tag change in
+      List.for_all
+        (fun n -> State.decode_change ~stash (String.sub s 0 n) = None)
+        (List.init (String.length s) Fun.id))
+
 let () =
   Alcotest.run "core-parts"
     [
@@ -108,5 +178,12 @@ let () =
           Alcotest.test_case "empty" `Quick test_boot_empty_reads_none;
           Alcotest.test_case "write then read" `Quick test_boot_write_then_read;
           Alcotest.test_case "latency" `Quick test_boot_latency_charged;
+        ] );
+      ( "metadata_records",
+        [
+          Alcotest.test_case "pinned bytes" `Quick test_record_bytes;
+          Alcotest.test_case "rejects non-records" `Quick test_record_rejects;
+          QCheck_alcotest.to_alcotest prop_record_roundtrip;
+          QCheck_alcotest.to_alcotest prop_record_prefixes;
         ] );
     ]
