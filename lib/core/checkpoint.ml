@@ -98,7 +98,6 @@ let run t k =
             | None -> []
           in
           Allocator.checkpoint_mark t.alloc ~keep ~extra;
-          t.medium_next_id <- max t.medium_next_id (Medium.peek_next_id t.medium_table);
           t.boot_generation_written <- Allocator.persist_generation t.alloc;
           Boot_region.write t.boot (encode_boot t) (fun () ->
               if not t.online then ()

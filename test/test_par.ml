@@ -263,7 +263,7 @@ let workload_digest domains =
   let st = Fa.state a in
   mix st.State.next_segment_id;
   mix (Hashtbl.length st.State.unflushed);
-  mix st.State.pending_flush_count;
+  mix (Queue.length st.State.flush_queue);
   !digest
 
 let test_array_digest_stable_across_domains () =
