@@ -99,6 +99,18 @@ let write_ok clock a ~volume ~block data =
   | Ok () -> ()
   | Error _ -> failwith "bench: write failed"
 
+(* Paper-shape checks. Every experiment states its claims through
+   [shape], which prints HOLDS or DIVERGES (with the measured [detail],
+   if any) and emits a row; main.exe exits 1 if any check diverged. *)
+let shapes = ref [] (* (claim, holds), newest first *)
+
+let shape ?detail claim ok =
+  emit_row ~kind:"bench_shape" [ ("claim", Json.Str claim); ("holds", Json.Bool ok) ];
+  Printf.printf "  Shape check: %s -> %s%s\n%!" claim
+    (if ok then "HOLDS" else "DIVERGES")
+    (match detail with Some d -> " (" ^ d ^ ")" | None -> "");
+  shapes := (claim, ok) :: !shapes
+
 let pp_lat name h =
   emit_row ~kind:"bench_latency"
     [

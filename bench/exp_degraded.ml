@@ -54,11 +54,10 @@ let run () =
     Printf.printf
       "\n  Paper: full service through two device failures (they encourage\n\
       \  customers to pull drives during evaluations).\n";
-    Printf.printf "  Shape check: zero errors with two drives out -> %s\n"
-      (if two.Wl.errors = 0 then "HOLDS" else "DIVERGES");
+    shape "zero errors with two drives out" (two.Wl.errors = 0);
     (* expected analytically: 2/11 of reads amplify 7x over the 9
        surviving drives -> roughly half of healthy throughput *)
-    Printf.printf "  Shape check: degraded throughput >= 40%% of healthy -> %s (%.0f%%)\n"
-      (if two.Wl.iops >= 0.4 *. healthy.Wl.iops then "HOLDS" else "DIVERGES")
-      (100.0 *. two.Wl.iops /. healthy.Wl.iops)
+    shape "degraded throughput >= 40% of healthy"
+      ~detail:(Printf.sprintf "%.0f%%" (100.0 *. two.Wl.iops /. healthy.Wl.iops))
+      (two.Wl.iops >= 0.4 *. healthy.Wl.iops)
   | _ -> ()

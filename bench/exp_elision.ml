@@ -85,11 +85,7 @@ let run () =
   Printf.printf
     "\n  Paper: elision reclaims immediately during merges, tombstones only at\n\
     \  the bottom; elide tables collapse to ranges and never leak.\n";
-  Printf.printf "  Shape check: 1 record vs %d -> %s\n" tomb_delete_records
-    (if elide_delete_records = 1 then "HOLDS" else "DIVERGES");
-  Printf.printf
-    "  Shape check: merges alone reclaim under elision, not under tombstones -> %s\n"
-    (if elide_after_merges <= facts0 / 2 && tomb_after_merges >= facts0 then "HOLDS"
-     else "DIVERGES");
-  Printf.printf "  Shape check: dense elide ids collapse to one range -> %s\n"
-    (if Pyramid.elide_range_count el2 = 1 then "HOLDS" else "DIVERGES")
+  shape (Printf.sprintf "1 record vs %d" tomb_delete_records) (elide_delete_records = 1);
+  shape "merges alone reclaim under elision, not under tombstones"
+    (elide_after_merges <= facts0 / 2 && tomb_after_merges >= facts0);
+  shape "dense elide ids collapse to one range" (Pyramid.elide_range_count el2 = 1)

@@ -56,5 +56,4 @@ let run () =
       (Fm.crossover_interval_s (Fm.purity ~reduction:10.0) ~baseline:Fm.ecc_dimm
          ~object_bytes:obj)
   in
-  Printf.printf "  Shape check: 10x-reduced flash beats RAM within 30 minutes -> %s\n"
-    (if c10 <= 1800.0 then "HOLDS" else "DIVERGES")
+  shape "10x-reduced flash beats RAM within 30 minutes" (c10 <= 1800.0)

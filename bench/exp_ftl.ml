@@ -69,11 +69,7 @@ let run () =
   Printf.printf
     "\n  Paper: \"flash translation layers behave erratically when exposed to\n\
     \  random writes\" -> Purity presents drives with large sequential writes.\n";
-  Printf.printf "  Shape check: random WA > 1.3x while sequential ~1.0x -> %s\n"
-    (if Ftl.write_amplification rnd_ftl > 1.3 && Ftl.write_amplification seq_ftl < 1.05 then
-       "HOLDS"
-     else "DIVERGES");
-  Printf.printf "  Shape check: random p99.9 >> sequential p99.9 -> %s\n"
-    (if Histogram.percentile rnd_hist 99.9 > 5.0 *. Histogram.percentile seq_hist 99.9 then
-       "HOLDS"
-     else "DIVERGES")
+  shape "random WA > 1.3x while sequential ~1.0x"
+    (Ftl.write_amplification rnd_ftl > 1.3 && Ftl.write_amplification seq_ftl < 1.05);
+  shape "random p99.9 >> sequential p99.9"
+    (Histogram.percentile rnd_hist 99.9 > 5.0 *. Histogram.percentile seq_hist 99.9)

@@ -38,8 +38,8 @@ let run () =
       && r3.Medium.target = Medium.Base
     | _ -> false
   in
-  Printf.printf
-    "  Figure 6 rows for the live medium (0:499 -> 21@0 | 500:999 -> 12@2500 | 1000:1999 -> none): %s\n"
-    (if matches then "REPRODUCED" else "DIVERGES");
+  shape
+    "Figure 6 rows for the live medium (0:499 -> 21@0 | 500:999 -> 12@2500 | 1000:1999 -> none)"
+    matches;
   Printf.printf "  Lookup depth for block 500 after the shortcut: %d (paper: <= 3 cblocks)\n"
     (Medium.resolve_depth t m22 ~block:500)

@@ -60,8 +60,8 @@ let run () =
     let s = Int64.of_int (5000 + Rng.int rng 4000) in
     if Tp.scan p2 ~field:0 ~value:s <> Tp.scan_naive p2 ~field:0 ~value:s then agree := false
   done;
-  Printf.printf "\n  compressed scan == decompress-and-scan on 400 probes: %s\n"
-    (if !agree then "HOLDS" else "DIVERGES");
+  print_newline ();
+  shape "compressed scan == decompress-and-scan on 400 probes" !agree;
   Printf.printf
     "  Paper: same-valued extra fields take no space; pages scan as bit\n\
     \  streams without decompression. (CPU cost: see the micro suite.)\n"

@@ -182,6 +182,4 @@ let run_in_section () =
     (100.0
     *. float_of_int (fence_skips + bloom_skips)
     /. float_of_int (max 1 probes));
-  Printf.printf
-    "  Shape check (mixed metadata op >= 2x naive, results identical): %s\n"
-    (if speedup_mixed >= 2.0 then "HOLDS" else "DIVERGES")
+  Bench_util.shape "mixed metadata op >= 2x naive, results identical" (speedup_mixed >= 2.0)

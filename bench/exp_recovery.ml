@@ -54,5 +54,4 @@ let run () =
   Printf.printf
     "\n  Paper: 12 s -> 0.1 s (120x) at production scale; full scan grows with\n\
     \  capacity while the frontier scan stays flat.\n";
-  Printf.printf "  Shape check: frontier scan >10x faster at the largest size -> %s\n"
-    (if !last_ratio > 10.0 then "HOLDS" else "DIVERGES")
+  shape "frontier scan >10x faster at the largest size" (!last_ratio > 10.0)

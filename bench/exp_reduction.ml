@@ -107,18 +107,11 @@ let run () =
     results;
   let get n = (List.nth results n).reduction in
   let raw = get 0 and rdbms = get 1 and doc = get 2 and vdi = get 3 in
-  Printf.printf "\n  Shape checks:\n";
-  Printf.printf "    incompressible stays ~1x          -> %s (%.2fx)\n"
-    (if raw < 1.2 then "HOLDS" else "DIVERGES")
-    raw;
-  Printf.printf "    RDBMS lands in 3-8x               -> %s (%.1fx)\n"
-    (if rdbms >= 3.0 && rdbms <= 8.0 then "HOLDS" else "DIVERGES")
-    rdbms;
-  Printf.printf "    docstore beats RDBMS, ~10x        -> %s (%.1fx)\n"
-    (if doc > rdbms && doc >= 6.0 then "HOLDS" else "DIVERGES")
-    doc;
-  Printf.printf "    VDI is the best, >10x             -> %s (%.1fx)\n"
-    (if vdi > doc && vdi >= 10.0 then "HOLDS" else "DIVERGES")
-    vdi;
+  print_newline ();
+  let x = Printf.sprintf "%.1fx" in
+  shape "incompressible stays ~1x" ~detail:(Printf.sprintf "%.2fx" raw) (raw < 1.2);
+  shape "RDBMS lands in 3-8x" ~detail:(x rdbms) (rdbms >= 3.0 && rdbms <= 8.0);
+  shape "docstore beats RDBMS, ~10x" ~detail:(x doc) (doc > rdbms && doc >= 6.0);
+  shape "VDI is the best, >10x" ~detail:(x vdi) (vdi > doc && vdi >= 10.0);
   let avg = (raw +. rdbms +. doc +. vdi) /. 4.0 in
-  Printf.printf "    mixed-fleet average (paper: 5.4x) -> %.1fx across these four\n" avg
+  Printf.printf "  mixed-fleet average (paper: 5.4x): %.1fx across these four\n" avg

@@ -92,12 +92,12 @@ let rec run () =
   let ratio = with_repl.Wl.iops /. base.Wl.iops in
   Printf.printf
     "\n  Paper: full service during asynchronous replication.\n";
-  Printf.printf "  Shape check: replication costs < 20%% of IOPS -> %s (%.0f%%)\n"
-    (if ratio > 0.8 then "HOLDS" else "DIVERGES")
-    (100.0 *. ratio);
-  Printf.printf "  Shape check: delta cycle ships only the change -> %s (%d blocks)\n"
-    (if r.Repl.changed_blocks = 64 then "HOLDS" else "DIVERGES")
-    r.Repl.changed_blocks;
+  shape "replication costs < 20% of IOPS"
+    ~detail:(Printf.sprintf "%.0f%%" (100.0 *. ratio))
+    (ratio > 0.8);
+  shape "delta cycle ships only the change"
+    ~detail:(Printf.sprintf "%d blocks" r.Repl.changed_blocks)
+    (r.Repl.changed_blocks = 64);
   run_activecluster ()
 
 (* Synchronous active-active (ActiveCluster): the cost of the mirror.
@@ -172,9 +172,9 @@ and run_activecluster () =
   | st, _ -> Printf.printf "\n  failback did not reconverge (%s)\n" (Ac.status_name st));
   let p50 h = Histogram.percentile h 50.0 in
   Printf.printf "\n  Paper: ActiveCluster adds one interconnect round trip to writes.\n";
-  Printf.printf "  Shape check: mirrored p50 > local p50 -> %s (%.0f vs %.0f us)\n"
-    (if p50 mirrored > p50 local then "HOLDS" else "DIVERGES")
-    (p50 mirrored) (p50 local);
-  Printf.printf "  Shape check: solo writes shed the round trip -> %s (%.0f us)\n"
-    (if p50 solo < p50 mirrored then "HOLDS" else "DIVERGES")
-    (p50 solo)
+  shape "mirrored p50 > local p50"
+    ~detail:(Printf.sprintf "%.0f vs %.0f us" (p50 mirrored) (p50 local))
+    (p50 mirrored > p50 local);
+  shape "solo writes shed the round trip"
+    ~detail:(Printf.sprintf "%.0f us" (p50 solo))
+    (p50 solo < p50 mirrored)

@@ -26,6 +26,6 @@ let run () =
     \  customers underestimate the speedup: a database at 60%% CPU / 40%% I/O\n\
     \  wait often gains ~10x, not the naive 1.67x, because lower rollback\n\
     \  rates compound with the latency win.\n";
-  Printf.printf "  Shape check: rollback improvement >= 10x for 10x latency -> %s (%.1fx)\n"
-    (if imp >= 10.0 then "HOLDS" else "DIVERGES")
-    imp
+  shape "rollback improvement >= 10x for 10x latency"
+    ~detail:(Printf.sprintf "%.1fx" imp)
+    (imp >= 10.0)

@@ -17,5 +17,4 @@ let run () =
       (fun r -> r.Scaleout.nodes_per_array >= 75.0 && r.Scaleout.nodes_per_array <= 300.0)
       rows
   in
-  Printf.printf "  Shape check: all in the paper's 100-250:1 band (+/- margin) -> %s\n"
-    (if in_band then "HOLDS" else "DIVERGES")
+  shape "all in the paper's 100-250:1 band (+/- margin)" in_band

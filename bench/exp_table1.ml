@@ -101,6 +101,6 @@ let run () =
   row4 "Rack units" "8" "28" "3.5x";
   row4 "$/GB" "$5" "$18" "3.6x";
   row4 "IOPS/W" "161" "18.6" "8.6x";
-  Printf.printf
-    "\n  Shape check: flash wins IOPS by >2x and p50 latency by >3x -> %s\n"
-    (if p.Wl.iops > 2.0 *. disk_iops && d_lat > 3.0 *. p_lat then "HOLDS" else "DIVERGES")
+  print_newline ();
+  shape "flash wins IOPS by >2x and p50 latency by >3x"
+    (p.Wl.iops > 2.0 *. disk_iops && d_lat > 3.0 *. p_lat)

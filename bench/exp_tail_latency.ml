@@ -63,12 +63,12 @@ let run () =
   Printf.printf
     "\n  Paper: reads dodge the <=2 drives writing per group (cost 7 x 2/11 ~ 1.3x\n\
     \  for write-heavy workloads); typical installations see p99.9 < 1 ms.\n";
-  Printf.printf "  Shape check: p99.9 ON (%.0f us) < p99.9 OFF (%.0f us) -> %s\n" p999_on
-    p999_off
-    (if p999_on < p999_off then "HOLDS" else "DIVERGES");
-  Printf.printf "  Shape check: reconstruct cost 7 x fraction in [0.9, 1.8] -> %s (%.2fx)\n"
-    (if cost io_on >= 0.9 && cost io_on <= 1.8 then "HOLDS" else "DIVERGES")
-    (cost io_on);
-  Printf.printf "  Shape check: typical-mix p99.9 under 1 ms -> %s (%.0f us)\n"
-    (if p999_typ < 1000.0 then "HOLDS" else "DIVERGES")
-    p999_typ
+  shape
+    (Printf.sprintf "p99.9 ON (%.0f us) < p99.9 OFF (%.0f us)" p999_on p999_off)
+    (p999_on < p999_off);
+  shape "reconstruct cost 7 x fraction in [0.9, 1.8]"
+    ~detail:(Printf.sprintf "%.2fx" (cost io_on))
+    (cost io_on >= 0.9 && cost io_on <= 1.8);
+  shape "typical-mix p99.9 under 1 ms"
+    ~detail:(Printf.sprintf "%.0f us" p999_typ)
+    (p999_typ < 1000.0)

@@ -82,9 +82,8 @@ let run () =
   Printf.printf
     "\n  Paper: warming reduces the I/O required after failover (it is what\n\
     \  keeps the secondary a fast 'live spare').\n";
-  Printf.printf "  Shape check: warm spare issues far fewer drive reads -> %s\n"
-    (if warm_drive_reads * 2 < cold_drive_reads then "HOLDS" else "DIVERGES");
-  Printf.printf "  Shape check: warm p50 below cold p50 -> %s (%.0f vs %.0f us)\n"
-    (if Histogram.percentile warm 50.0 < Histogram.percentile cold 50.0 then "HOLDS"
-     else "DIVERGES")
-    (Histogram.percentile warm 50.0) (Histogram.percentile cold 50.0)
+  shape "warm spare issues far fewer drive reads" (warm_drive_reads * 2 < cold_drive_reads);
+  let warm_p50 = Histogram.percentile warm 50.0 and cold_p50 = Histogram.percentile cold 50.0 in
+  shape "warm p50 below cold p50"
+    ~detail:(Printf.sprintf "%.0f vs %.0f us" warm_p50 cold_p50)
+    (warm_p50 < cold_p50)

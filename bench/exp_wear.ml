@@ -75,7 +75,5 @@ let run () =
   Printf.printf
     "\n  Paper: scrubbing lets worn arrays keep serving (they built an array\n\
     \  from worn-out flash and saw no application-level errors).\n";
-  Printf.printf "  Shape check: scrubbed array has no unrecoverable reads -> %s\n"
-    (if !total_s = 0 then "HOLDS" else "DIVERGES");
-  Printf.printf "  Shape check: neglected array eventually loses data -> %s\n"
-    (if !total_n > !total_s then "HOLDS" else "DIVERGES")
+  shape "scrubbed array has no unrecoverable reads" (!total_s = 0);
+  shape "neglected array eventually loses data" (!total_n > !total_s)

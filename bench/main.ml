@@ -1,7 +1,7 @@
 (* The experiment harness: one sub-command per paper table/figure (see
    DESIGN.md's experiment index), `micro` for the Bechamel CPU suite, and
    no argument (or `--all`) to run everything — writing the output that
-   EXPERIMENTS.md records. *)
+   EXPERIMENTS.md records. Exits 1 if any shape check diverged. *)
 
 let experiments =
   [
@@ -33,13 +33,22 @@ let usage () =
   print_endline "experiments:";
   List.iter (fun (id, desc, _) -> Printf.printf "  %-6s %s\n" id desc) experiments
 
+(* Tally the shape checks the run made; exit 1 if any diverged. *)
+let verdict () =
+  let checks = List.rev !Bench_util.shapes in
+  let diverged = List.filter (fun (_, ok) -> not ok) checks in
+  Printf.printf "\n%d shape checks, %d diverged\n" (List.length checks) (List.length diverged);
+  List.iter (fun (claim, _) -> Printf.printf "  DIVERGES: %s\n" claim) diverged;
+  if diverged <> [] then exit 1
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: ("-h" | "--help") :: _ -> usage ()
   | [ _ ] | [ _; "--all" ] ->
     print_endline "Purity reproduction — experiment harness (all experiments)";
     print_endline "Simulated-time results; see EXPERIMENTS.md for paper-vs-measured.";
-    List.iter (fun (_, _, run) -> run ()) all_experiments
+    List.iter (fun (_, _, run) -> run ()) all_experiments;
+    verdict ()
   | _ :: picks ->
     List.iter
       (fun pick ->
@@ -49,5 +58,6 @@ let () =
           Printf.eprintf "unknown experiment %S\n" pick;
           usage ();
           exit 1)
-      picks
+      picks;
+    verdict ()
   | [] -> usage ()

@@ -8,6 +8,7 @@ type t = {
   mb_s : float;
   cap : int;
   log : record Queue.t;
+  mutable committed : int; (* commits accepted: the next one's position *)
   mutable used : int;
   mutable free_at : float;
   mutable losses : int;
@@ -20,6 +21,7 @@ let create ?(latency_us = 15.0) ?(mb_s = 700.0) ?(capacity = 16 * 1024 * 1024) ~
     mb_s;
     cap = capacity;
     log = Queue.create ();
+    committed = 0;
     used = 0;
     free_at = 0.0;
     losses = 0;
@@ -36,6 +38,7 @@ let commit t r k =
   else begin
     let size = record_size r in
     Queue.add r t.log;
+    t.committed <- t.committed + 1;
     t.used <- t.used + size;
     let transfer = float_of_int size /. (t.mb_s *. 1024.0 *. 1024.0 /. 1e6) in
     let start = Float.max (Clock.now t.clock) t.free_at in
@@ -44,14 +47,14 @@ let commit t r k =
     Clock.schedule_at t.clock ~at:finish (fun () -> k (Ok ()))
   end
 
-let trim_upto t seq =
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt t.log with
-    | Some r when Int64.compare r.seq seq <= 0 ->
-      ignore (Queue.pop t.log);
-      t.used <- t.used - record_size r
-    | _ -> continue := false
+let position t = t.committed
+
+(* the log holds the newest records, at consecutive positions *)
+let oldest_position t = t.committed - Queue.length t.log
+
+let trim_below t pos =
+  while oldest_position t < pos && not (Queue.is_empty t.log) do
+    t.used <- t.used - record_size (Queue.pop t.log)
   done
 
 (* Fault injection: the device loses its contents (a dead SLC part).

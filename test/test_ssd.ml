@@ -201,10 +201,17 @@ let test_nvram_trim () =
     Nvram.commit nv { Nvram.seq = Int64.of_int i; payload = "x" } ignore
   done;
   Clock.run clock;
-  Nvram.trim_upto nv 7L;
+  check int "ten positions taken" 10 (Nvram.position nv);
+  Nvram.trim_below nv 7;
   let left = Nvram.records nv in
   check int "three left" 3 (List.length left);
-  check Alcotest.int64 "first surviving" 8L (List.hd left).Nvram.seq
+  check Alcotest.int64 "first surviving" 8L (List.hd left).Nvram.seq;
+  check int "oldest surviving position" 7 (Nvram.oldest_position nv);
+  Nvram.trim_below nv 3;
+  check int "trimming below an older position keeps all" 3 (List.length (Nvram.records nv));
+  Nvram.lose nv;
+  check int "a loss leaves the count" 10 (Nvram.position nv);
+  check int "empty log: oldest is the next" 10 (Nvram.oldest_position nv)
 
 let test_nvram_full_backpressure () =
   let clock = Clock.create () in
