@@ -124,9 +124,5 @@ val restore : rows:(int * extent list) list -> next_id:int -> t
 val extents : t -> int -> extent list
 (** The raw extent rows of one medium (empty when absent). *)
 
-val set_medium : t -> int -> extent list -> unit
-(** Recovery/replay: install a medium's extents verbatim, bumping the id
-    counter past it. *)
-
 val peek_next_id : t -> int
 (** The next id that will be issued (for boot-region persistence). *)

@@ -45,7 +45,6 @@ val lane_seed : t -> int -> int64
     fully inline). Fetch it at use sites rather than caching it so
     test-time {!set_global_domains} swaps take effect. *)
 
-val domains_from_env : unit -> int
 val global : unit -> t
 
 val set_global_domains : int -> unit

@@ -46,8 +46,6 @@ val emitted : t -> int
 (** {1 Line construction} *)
 
 val json_of_value : Registry.value_snapshot -> Json.t
-val json_of_snapshot : Registry.snapshot -> Json.t
-(** The ["metrics"] object: key -> number or histogram summary. *)
 
 val row : kind:string -> ?array_id:string -> ?ts_us:float -> (string * Json.t) list -> string
 (** One schema-conformant JSONL line with the given extra fields. *)

@@ -104,6 +104,5 @@ val reset : t -> unit
 (** Zero all counters and clear all histograms. Gauges and derived
     metrics are levels over live state and are left alone. *)
 
-val pp_value : value_snapshot Fmt.t
 val pp_snapshot : snapshot Fmt.t
 (** Grouped, aligned rendering for the CLI's [stats] subcommand. *)

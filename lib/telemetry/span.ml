@@ -65,8 +65,6 @@ let finish ?(tags = []) t =
 let id t = t.span_id
 let name t = t.span_name
 let parent_id t = t.parent
-let start_us t = t.started
-let end_us t = t.ended
 let duration_us t = Option.map (fun e -> e -. t.started) t.ended
 let tags t = List.rev t.span_tags
 

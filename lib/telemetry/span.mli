@@ -32,10 +32,6 @@ val tag : t -> string -> string -> unit
 val id : t -> int
 val name : t -> string
 val parent_id : t -> int option
-val start_us : t -> float
-val end_us : t -> float option
-(** [None] until finished. *)
-
 val duration_us : t -> float option
 val tags : t -> (string * string) list
 

@@ -156,9 +156,6 @@ let[@purity.lint.hotpath] hash63 ?(seed = 0) buf ~pos ~len =
   Kernel_stats.tock Kernel_stats.fingerprint ~bytes:len ~t0;
   merge63 !h1 !h2 !h3 !h4
 
-let hash63_string ?seed s =
-  hash63 ?seed (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
 let hash63_ref ?(seed = 0) buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Xxhash.hash63_ref";

@@ -28,8 +28,6 @@ val hash63 : ?seed:int -> bytes -> pos:int -> len:int -> int
 (** Fingerprint a slice; the result uses the full native-int range and
     may be negative. @raise Invalid_argument on a bad range. *)
 
-val hash63_string : ?seed:int -> string -> int
-
 val hash63_ref : ?seed:int -> bytes -> pos:int -> len:int -> int
 (** Byte-at-a-time reference for {!hash63}; property-tested identical. *)
 

@@ -37,7 +37,7 @@ let () =
   (* [check] is a Scenario instance's check_seed: double execution,
      shrinking, one report per failure. The per-seed digests fold into
      one suite digest, so two commits' sweeps compare with one diff. *)
-  let sweep name check report_to_string =
+  let sweep ?(extra = fun () -> "") name check report_to_string =
     let t0 = Unix.gettimeofday () in
     let digest = ref 0 in
     (try
@@ -54,15 +54,19 @@ let () =
        done
      with Exit -> ());
     if not !failed then
-      Format.printf "torture[%s]: %d scenarios clean in %.1fs, digest %x@." name !count
-        (Unix.gettimeofday () -. t0) !digest
+      Format.printf "torture[%s]: %d scenarios clean in %.1fs, digest %x%s@." name !count
+        (Unix.gettimeofday () -. t0) !digest (extra ())
   in
   let n = !steps in
   let gen = if n = 0 then Plan.default_gen else { Plan.default_gen with Plan.steps = n } in
   let ac_gen =
     if n = 0 then Ac_plan.default_gen else { Ac_plan.default_gen with Ac_plan.steps = n }
   in
-  let array () = sweep "array" (fun s -> Runner.check_seed ~gen s) Runner.report_to_string in
+  (* each seed executes twice, so a clean sweep counts every refusal twice *)
+  let busy () = Printf.sprintf "; %d Busy refusals" !Runner.busy_refusals in
+  let array () =
+    sweep ~extra:busy "array" (fun s -> Runner.check_seed ~gen s) Runner.report_to_string
+  in
   let ac () = sweep "ac" (fun s -> Ac_runner.check_seed ~gen:ac_gen s) Ac_runner.report_to_string in
   (match !suite with
   | "ac" -> ac ()
